@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .balance import (
+    BalanceResult,
     CostRates,
     DemandStats,
     balance_closed_form,
@@ -34,6 +35,9 @@ from .errors import (
 
 # Auto traces are only collected up to this many demand draws.
 TRACE_STEP_LIMIT = 100_000
+
+# Demand is drawn and evaluated this many steps at a time.
+_CHUNK = 1 << 16
 
 FIXED_AGREED = "fixed_agreed"
 MEAN_FOLLOW = "mean_follow"
@@ -99,11 +103,11 @@ class Policy:
         return self.kind
 
 
-def _balance_level(stats: DemandStats, rates: CostRates) -> float:
+def _balance(stats: DemandStats, rates: CostRates) -> BalanceResult:
     try:
         if rates.satisfaction == 0.0:
-            return balance_closed_form(stats, rates).r_provisioned
-        return balance_numeric(stats, rates).r_provisioned
+            return balance_closed_form(stats, rates)
+        return balance_numeric(stats, rates)
     except (DegenerateCosts, NonzeroSatisfaction, NoRootInRange) as exc:
         raise PolicyUnresolvable(f"balance policy unresolvable: {exc}") from exc
 
@@ -117,12 +121,11 @@ def resolve_policy(policy: Policy, stats: DemandStats, rates: CostRates) -> floa
     elif policy.kind == FIXED_LEVEL:
         level = policy.level
     elif policy.kind == BALANCE:
-        level = _balance_level(stats, rates)
+        level = _balance(stats, rates).r_provisioned
     else:  # BALANCE_BAND: the band edge nearest the balance, ties toward
         # the low (energy-saving) edge.
-        r = _balance_level(stats, rates)
-        result = balance_closed_form(stats, rates) if rates.satisfaction == 0.0 \
-            else balance_numeric(stats, rates)
+        result = _balance(stats, rates)
+        r = result.r_provisioned
         lo, hi = heuristic_band(result, policy.x_percent, stats)
         level = lo if abs(r - lo) <= abs(hi - r) else hi
     return min(max(level, 0.0), stats.r_agreed)
@@ -236,37 +239,63 @@ def _replication_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, index]))
 
 
-def run_simulation(scenario: Scenario, trace: bool | None = None) -> SimulationReport:
-    """Play the scenario's policy against sampled demand.
+def _evaluate(
+    scenario: Scenario, levels, keep: bool = False
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Violation count and total wasted capacity at each level, in one pass.
 
-    ``trace=None`` records per-step data only while the run stays within
-    TRACE_STEP_LIMIT draws; pass True/False to force.  Deterministic given
-    (scenario, seed): repeated runs produce identical aggregates.
+    Every level sees the same demand (common random numbers), drawn once
+    _CHUNK steps at a time; a sorted chunk and its prefix sum cost each
+    level one binary search.  ``keep`` also returns the unsorted chunks.
     """
+    g = np.asarray(levels, dtype=float)
+    violations = np.zeros(len(g), dtype=np.int64)
+    wasted = np.zeros(len(g))
+    kept: list[np.ndarray] = []
+    for rep in range(scenario.replications):
+        rng = _replication_rng(scenario.seed, rep)
+        for start in range(0, scenario.steps, _CHUNK):
+            # chunked draws give the same stream as one draw of all steps
+            demand = scenario.profile.sample_many(rng, min(_CHUNK, scenario.steps - start))
+            if scenario.clamp_demand_to_agreed:
+                demand = np.minimum(demand, scenario.stats.r_agreed)
+            if keep:
+                kept.append(demand)
+            d = np.sort(demand)
+            prefix = np.concatenate(([0.0], np.cumsum(d)))
+            below = np.searchsorted(d, g, "right")  # draws with demand <= g
+            violations += len(d) - below
+            # sum(g - d) over those draws; rounding can leave a tiny negative
+            wasted += np.maximum(g * below - prefix[below], 0.0)
+    return violations, wasted, kept
+
+
+def _trace(scenario: Scenario, level: float, chunks: list[np.ndarray]) -> StepTrace:
+    """Per-step records at ``level`` for the demand chunks of one pass."""
+    rates, steps, reps = scenario.rates, scenario.steps, scenario.replications
+    demand = np.concatenate(chunks)
+    violated = demand > level
+    wasted = np.maximum(level - demand, 0.0)
+    return StepTrace(
+        replication=np.repeat(np.arange(reps, dtype=np.int64), steps),
+        step=np.tile(np.arange(steps, dtype=np.int64), reps),
+        demand=demand,
+        provisioned=np.full(len(demand), level),
+        violation=violated,
+        wasted=wasted,
+        wastage_cost=(wasted / scenario.stats.r_agreed) * rates.c_provision,
+        penalty_cost=np.where(violated, rates.c_viol, 0.0),
+    )
+
+
+def _report(
+    scenario: Scenario, level: float, violation_count: int, wasted: float, chunks: list[np.ndarray]
+) -> SimulationReport:
+    """Report for one level's counts, with a trace when chunks were kept."""
     stats, rates = scenario.stats, scenario.rates
-    level = resolve_policy(scenario.policy, stats, rates)
     agreed = stats.r_agreed
     c_prov = rates.c_provision
     total_draws = scenario.steps * scenario.replications
-    want_trace = trace if trace is not None else total_draws <= TRACE_STEP_LIMIT
-
-    violation_count = 0
-    total_wastage_cost = 0.0
-    trace_parts: list[tuple[np.ndarray, ...]] = []
-
-    for rep in range(scenario.replications):
-        rng = _replication_rng(scenario.seed, rep)
-        demand = scenario.profile.sample_many(rng, scenario.steps)
-        if scenario.clamp_demand_to_agreed:
-            demand = np.minimum(demand, agreed)
-        violated = demand > level
-        wasted = np.maximum(level - demand, 0.0)
-        step_wastage = (wasted / agreed) * c_prov
-        violation_count += int(np.count_nonzero(violated))
-        total_wastage_cost += float(step_wastage.sum())
-        if want_trace:
-            trace_parts.append((rep, demand, violated, wasted, step_wastage))
-
     utilization = level / agreed
     total_energy = utilization * scenario.energy_full * total_draws
     model_w = max(0.0, level - stats.mean_demand) / agreed
@@ -277,31 +306,13 @@ def run_simulation(scenario: Scenario, trace: bool | None = None) -> SimulationR
     else:
         tail_p = scenario.profile.tail_probability(level)
 
-    step_trace = None
-    if want_trace:
-        steps_idx = np.arange(scenario.steps, dtype=np.int64)
-        step_trace = StepTrace(
-            replication=np.concatenate(
-                [np.full(scenario.steps, rep, dtype=np.int64) for rep, *_ in trace_parts]
-            ),
-            step=np.concatenate([steps_idx for _ in trace_parts]),
-            demand=np.concatenate([p[1] for p in trace_parts]),
-            provisioned=np.full(total_draws, level),
-            violation=np.concatenate([p[2] for p in trace_parts]),
-            wasted=np.concatenate([p[3] for p in trace_parts]),
-            wastage_cost=np.concatenate([p[4] for p in trace_parts]),
-            penalty_cost=np.concatenate(
-                [np.where(p[2], rates.c_viol, 0.0) for p in trace_parts]
-            ),
-        )
-
     return SimulationReport(
         seed=scenario.seed,
         scenario=scenario,
         provision_level=level,
         violation_count=violation_count,
         violation_frequency=violation_count / total_draws,
-        total_wastage_cost=total_wastage_cost,
+        total_wastage_cost=wasted / agreed * c_prov,
         total_penalty_cost=violation_count * rates.c_viol,
         total_expected_model_cost=(model_w * c_prov + model_p * rates.c_viol) * total_draws,
         total_energy_kwh=total_energy,
@@ -311,8 +322,27 @@ def run_simulation(scenario: Scenario, trace: bool | None = None) -> SimulationR
         energy_saved_kwh=scenario.energy_full * total_draws - total_energy,
         model_violation_probability=model_p,
         tail_violation_probability=tail_p,
-        trace=step_trace,
+        trace=_trace(scenario, level, chunks) if chunks else None,
     )
+
+
+def _auto_trace(scenario: Scenario) -> bool:
+    return scenario.steps * scenario.replications <= TRACE_STEP_LIMIT
+
+
+def run_simulation(scenario: Scenario, trace: bool | None = None) -> SimulationReport:
+    """Play the scenario's policy against sampled demand.
+
+    Demand is evaluated in fixed-size chunks, so an untraced run uses
+    memory independent of ``steps``; a trace holds one row per step.
+    ``trace=None`` records it only while the run stays within
+    TRACE_STEP_LIMIT draws; pass True/False to force.  Deterministic given
+    (scenario, seed): repeated runs produce identical aggregates.
+    """
+    level = resolve_policy(scenario.policy, scenario.stats, scenario.rates)
+    keep = trace if trace is not None else _auto_trace(scenario)
+    violations, wasted, chunks = _evaluate(scenario, [level], keep)
+    return _report(scenario, level, int(violations[0]), float(wasted[0]), chunks)
 
 
 def realized_cost(report: SimulationReport) -> float:
@@ -339,20 +369,22 @@ class GridSearchResult:
 def empirical_optimum(scenario: Scenario, grid: list[float]) -> GridSearchResult:
     """Realized-cost minimizer over fixed levels, common random numbers.
 
-    Ties resolve to the earliest grid entry.
+    One pass over the demand evaluates every grid level (see
+    run_simulation for the memory bound).  Ties resolve to the earliest
+    grid entry.
     """
     if not grid:
         raise ValueError("grid must not be empty")
     for g in grid:
         if not 0.0 <= g <= scenario.stats.r_agreed:
             raise ValueError(f"grid level {g} outside [0, {scenario.stats.r_agreed}]")
-    costs = []
-    for g in grid:
-        run = replace(scenario, policy=Policy.fixed_level(g))
-        costs.append(realized_cost(run_simulation(run, trace=False)))
+    violations, wasted, _ = _evaluate(scenario, grid)
+    rates = scenario.rates
+    costs = (wasted / scenario.stats.r_agreed * rates.c_provision
+             + violations * rates.c_viol).tolist()
     best = min(range(len(grid)), key=lambda i: (costs[i], i))
     try:
-        r_balance = _balance_level(scenario.stats, scenario.rates)
+        r_balance = _balance(scenario.stats, scenario.rates).r_provisioned
         gap = abs(grid[best] - r_balance)
     except PolicyUnresolvable:
         gap = None
@@ -389,16 +421,23 @@ class PolicyComparison:
 def compare_policies(scenario_base: Scenario, policies: list[Policy]) -> PolicyComparison:
     """Run each policy on identical demand sample paths and rank by cost.
 
-    Per-policy failures are recorded in their run entry; the comparison
-    proceeds for the rest.
+    One pass over the demand evaluates every resolvable policy; traces
+    follow run_simulation's ``trace=None`` rule.  Per-policy failures are
+    recorded in their run entry; the comparison proceeds for the rest.
     """
-    runs = []
-    for policy in policies:
+    runs = [PolicyRun(policy, None, None) for policy in policies]
+    levels: dict[PolicyRun, float] = {}
+    for run in runs:
         try:
-            report = run_simulation(replace(scenario_base, policy=policy))
-            runs.append(PolicyRun(policy, report, None))
+            levels[run] = resolve_policy(run.policy, scenario_base.stats, scenario_base.rates)
         except PolicyUnresolvable as exc:
-            runs.append(PolicyRun(policy, None, str(exc)))
+            run.error = str(exc)
+    if levels:  # nothing to draw demand for otherwise
+        violations, wasted, chunks = _evaluate(
+            scenario_base, list(levels.values()), _auto_trace(scenario_base))
+        for (run, level), v, w in zip(levels.items(), violations, wasted):
+            scenario = replace(scenario_base, policy=run.policy)
+            run.report = _report(scenario, level, int(v), float(w), chunks)
     ranked = sorted(
         (run for run in runs if run.report is not None),
         key=lambda run: run.cost,

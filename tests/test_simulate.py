@@ -2,6 +2,7 @@
 statistical agreement with the demand model, and policy comparison."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,8 @@ from greenprov import (
     resolve_policy,
     run_simulation,
 )
-from greenprov.simulate import TRACE_STEP_LIMIT
+from greenprov import simulate
+from greenprov.simulate import _CHUNK, TRACE_STEP_LIMIT, _replication_rng
 
 
 @pytest.fixture
@@ -98,8 +100,20 @@ class TestResolvePolicy:
         assert resolve_policy(Policy.balance(), stats, rates) == expected
 
     def test_balance_degenerate_raises(self, stats):
-        with pytest.raises(PolicyUnresolvable):
-            resolve_policy(Policy.balance(), stats, CostRates(0, 0, 0))
+        for policy in (Policy.balance(), Policy.balance_band(0.1)):
+            with pytest.raises(PolicyUnresolvable):
+                resolve_policy(policy, stats, CostRates(0, 0, 0))
+
+    def test_band_solves_the_balance_once(self, stats, rates, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return balance_closed_form(*args)
+
+        monkeypatch.setattr(simulate, "balance_closed_form", counting)
+        resolve_policy(Policy.balance_band(0.1), stats, rates)
+        assert len(calls) == 1
 
     def test_band_level_sits_inside_band(self, stats, rates):
         result = balance_closed_form(stats, rates)
@@ -255,6 +269,18 @@ class TestRunSimulation:
         assert report.tail_violation_probability == 0.0
         assert float(report.trace.demand.max()) <= 100.0
 
+    def test_untraced_memory_independent_of_steps(self, scenario):
+        # one replication's 2e6 draws take 16 MB as a single array;
+        # chunked evaluation holds a few chunks at a time.
+        big = replace(scenario, steps=2_000_000, replications=2)
+        tracemalloc.start()
+        try:
+            run_simulation(big, trace=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
 
 class TestEmpiricalOptimum:
     def test_singleton_grid(self, scenario, stats, rates):
@@ -297,6 +323,60 @@ class TestEmpiricalOptimum:
             empirical_optimum(scenario, [])
         with pytest.raises(ValueError):
             empirical_optimum(scenario, [150.0])
+
+
+def reference_costs(scenario, grid):
+    """Realized cost per grid level, one level at a time over whole streams:
+    the evaluation the one-pass kernel replaced."""
+    rates, agreed = scenario.rates, scenario.stats.r_agreed
+    costs = [0.0] * len(grid)
+    for rep in range(scenario.replications):
+        demand = scenario.profile.sample_many(
+            _replication_rng(scenario.seed, rep), scenario.steps
+        )
+        if scenario.clamp_demand_to_agreed:
+            demand = np.minimum(demand, agreed)
+        for i, g in enumerate(grid):
+            wasted = float(np.sum(np.maximum(g - demand, 0.0)))
+            costs[i] += (wasted / agreed * rates.c_provision
+                         + int(np.count_nonzero(demand > g)) * rates.c_viol)
+    return costs
+
+
+class TestOnePassKernel:
+    GRID = [float(g) for g in range(0, 101, 5)]
+
+    @pytest.mark.parametrize(
+        "profile, clamp, steps",
+        [
+            (make_profile("uniform", [0, 80]), False, 2000),
+            (make_profile("truncated_normal", [50, 10, 0, 100]), False, 2000),
+            # every draw ties with some grid level
+            (make_profile("empirical", [10, 20, 20, 35, 50, 80]), False, 2000),
+            (make_profile("uniform", [0, 120]), True, 2000),
+            (make_profile("uniform", [0, 80]), False, _CHUNK - 1),
+            (make_profile("uniform", [0, 80]), False, _CHUNK),
+            (make_profile("uniform", [0, 80]), False, 2 * _CHUNK + 1),
+        ],
+        ids=["uniform", "truncnorm", "ties", "clamped", "chunk-1", "chunk", "2chunk+1"],
+    )
+    def test_grid_costs_match_per_level_reference(self, scenario, profile, clamp, steps):
+        run = replace(
+            scenario, profile=profile, clamp_demand_to_agreed=clamp,
+            steps=steps, replications=2,
+        )
+        found = empirical_optimum(run, self.GRID)
+        assert list(found.costs) == pytest.approx(reference_costs(run, self.GRID), rel=1e-9)
+
+    def test_comparison_matches_single_runs(self, scenario):
+        policies = [
+            Policy.fixed_agreed(), Policy.mean_follow(), Policy.balance(),
+            Policy.balance_band(0.2), Policy.fixed_level(55),
+        ]
+        comparison = compare_policies(scenario, policies)
+        for policy, run in zip(policies, comparison.runs):
+            solo = run_simulation(replace(scenario, policy=policy), trace=False)
+            assert run.report.aggregate_dict() == solo.aggregate_dict()
 
 
 class TestComparePolicies:
