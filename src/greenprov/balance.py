@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import (
     DegenerateCosts,
     DomainError,
@@ -241,6 +243,109 @@ def balance_numeric(
             f"bisection residual {gap(root):.3g} exceeds tolerance {tolerance:.3g}"
         )
     return _result_at(root, stats, rates)
+
+
+def solve_balance(stats: DemandStats, rates: CostRates) -> BalanceResult:
+    """Balance point: the closed form at zero satisfaction, bisection otherwise."""
+    if rates.satisfaction == 0.0:
+        return balance_closed_form(stats, rates)
+    return balance_numeric(stats, rates)
+
+
+# Array forms of the scalar solvers for balance_grid.  Each repeats the
+# scalar float operations in the same order, and np.where(b > a, b, a)
+# stands for Python's max(a, b) (and likewise for min), which keeps
+# ``a`` on ties and on NaN, so every solved cell is bit-identical.
+
+
+def _proba_grid(r, peak):
+    q = 1.0 - r / peak
+    return np.where((peak > 0.0) & (q > 0.0), q, 0.0)
+
+
+def _gap_grid(r, mean, peak, agreed, c_prov, c_viol, surcharge):
+    return (r - mean) / agreed * c_prov - _proba_grid(r, peak) * c_viol - surcharge
+
+
+def _closed_form_grid(mean, peak, agreed, c_prov, c_viol):
+    """(solvable, level) of balance_closed_form per cell."""
+    weight_wastage = peak * c_prov
+    weight_penalty = agreed * c_viol
+    total = weight_wastage + weight_penalty
+    r = peak * (mean * c_prov + agreed * c_viol) / total
+    r = np.where(mean > r, mean, r)
+    r = np.where(peak < r, peak, r)
+    r = np.where(c_viol == 0.0, mean, np.where(c_prov == 0.0, peak, r))
+    return ~(total <= 0.0), r
+
+
+def _bisect_grid(mean, peak, agreed, c_prov, c_viol, surcharge):
+    """(solvable, level) of balance_numeric per cell, all cells stepped together."""
+
+    def gap(r):
+        return _gap_grid(r, mean, peak, agreed, c_prov, c_viol, surcharge)
+
+    tolerance = 1e-9 * (c_prov + c_viol + surcharge)
+    gap_lo, gap_hi = gap(mean), gap(peak)
+    solvable = ~((c_prov == 0.0) & (c_viol == 0.0)) & ~((gap_lo > 0.0) | (gap_hi < 0.0))
+    endpoint = (gap_lo == 0.0) | (gap_hi == 0.0)
+    bisected = solvable & ~endpoint
+    lo, hi = mean, peak
+    width_target = _BISECT_REL_WIDTH * peak
+    active = bisected
+    for _ in range(_BISECT_MAX_ITER):
+        active = active & ~(hi - lo <= width_target)
+        if not active.any():
+            break
+        mid = 0.5 * (lo + hi)
+        up = gap(mid) >= 0.0
+        hi = np.where(active & up, mid, hi)
+        lo = np.where(active & ~up, mid, lo)
+    root = 0.5 * (lo + hi)
+    solvable &= ~(bisected & (np.abs(gap(root)) > tolerance))
+    root = np.where(gap_lo == 0.0, mean, np.where(gap_hi == 0.0, peak, root))
+    return solvable, root
+
+
+def balance_grid(mean_demand, max_demand, r_agreed, c_en, c_co2, c_viol, satisfaction):
+    """:func:`solve_balance` over float64 arrays, one cell per element.
+
+    The seven inputs are the DemandStats and CostRates fields; they are
+    broadcast against each other.  Returns ``(solved, columns)``: ``solved``
+    marks the cells the scalar dispatcher solves, and ``columns`` holds the
+    BalanceResult fields in declaration order, NaN where not solved.  A
+    solved cell is bit-identical to the scalar result; the reason a cell is
+    not solved is the error the scalar path raises for it.
+    """
+    mean, peak, agreed, c_en, c_co2, c_viol, surcharge = np.broadcast_arrays(
+        *(
+            np.asarray(a, dtype=float)
+            for a in (mean_demand, max_demand, r_agreed, c_en, c_co2, c_viol, satisfaction)
+        )
+    )
+    with np.errstate(all="ignore"):
+        c_prov = c_en + c_co2
+        # the DemandStats and CostRates validation
+        solved = np.ones(mean.shape, dtype=bool)
+        for value in (mean, peak, agreed, c_en, c_co2, c_viol, surcharge):
+            solved &= np.isfinite(value)
+        solved &= (mean >= 0.0) & (peak >= mean) & (agreed > 0.0) & (peak <= agreed)
+        for rate in (c_en, c_co2, c_viol, surcharge):
+            solved &= rate >= 0.0
+        closed = surcharge == 0.0
+        solvable, r = _closed_form_grid(mean, peak, agreed, c_prov, c_viol)
+        solved &= solvable | ~closed
+        numeric = np.flatnonzero(solved & ~closed)
+        if numeric.size:
+            solvable, root = _bisect_grid(
+                *(a.ravel()[numeric] for a in (mean, peak, agreed, c_prov, c_viol, surcharge))
+            )
+            solved.flat[numeric] = solvable
+            r.flat[numeric] = root
+        w = (r - mean) / agreed
+        p = _proba_grid(r, peak)
+        columns = (r, w, w * c_prov, p, p * c_viol)
+    return solved, tuple(np.where(solved, c, np.nan) for c in columns)
 
 
 def heuristic_band(

@@ -24,12 +24,13 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .balance import CostRates, DemandStats, balance_closed_form, balance_numeric
+from .balance import CostRates, DemandStats, balance_grid, solve_balance
 from .config import (
     build_scenario,
     load_config,
@@ -50,6 +51,12 @@ from .schemas import SETTLEMENT_HEADER, SWEEP_HEADER, TRACE_HEADER
 from .simulate import run_simulation
 
 SWEEP_PARAMS = ("c_co2", "c_en", "c_viol", "max_demand", "mean_demand", "r_agreed")
+# The DemandStats and CostRates inputs in sweep.csv column order.
+_SWEEP_INPUTS = SWEEP_HEADER[:6]
+
+# trace.csv and sweep.csv are formatted and written this many rows at a
+# time, so the text of a table is never held whole.
+_ROW_BLOCK = 1 << 12
 
 
 class _UsageError(Exception):
@@ -141,17 +148,20 @@ def _fmt(value) -> str:
     return "%.12g" % (float(value) + 0.0)
 
 
+def _fmt_column(values: np.ndarray) -> list[str]:
+    """_fmt over a whole column."""
+    if values.dtype.kind == "b":
+        values = values.astype(np.uint8)
+    if values.dtype.kind in "iu":
+        return list(map(str, values.tolist()))
+    return ["%.12g" % v for v in (values + 0.0).tolist()]
+
+
 def _write_csv(path: Path, header, rows):
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def _solve_balance(stats: DemandStats, rates: CostRates):
-    if rates.satisfaction == 0.0:
-        return balance_closed_form(stats, rates)
-    return balance_numeric(stats, rates)
 
 
 def _result_dict(result) -> dict:
@@ -168,7 +178,7 @@ def cmd_balance(args) -> int:
     parsed = load_config(args.config)
     rates = parsed.require("rates")
     stats = parsed.stats()
-    result = _solve_balance(stats, rates)
+    result = solve_balance(stats, rates)
     text = _json_record(
         {
             "stats": stats_to_dict(stats),
@@ -200,18 +210,13 @@ def cmd_simulate(args) -> int:
     print(f"wrote {out / 'report.json'}")
     if args.trace:
         tr = report.trace
-        rows = (
-            (
-                _fmt(tr.replication[i]),
-                _fmt(tr.step[i]),
-                _fmt(tr.demand[i]),
-                _fmt(tr.provisioned[i]),
-                _fmt(bool(tr.violation[i])),
-                _fmt(tr.wasted[i]),
-                _fmt(tr.wastage_cost[i]),
-                _fmt(tr.penalty_cost[i]),
-            )
-            for i in range(len(tr))
+        columns = (
+            tr.replication, tr.step, tr.demand, tr.provisioned,
+            tr.violation, tr.wasted, tr.wastage_cost, tr.penalty_cost,
+        )
+        rows = itertools.chain.from_iterable(
+            zip(*(_fmt_column(c[start:start + _ROW_BLOCK]) for c in columns))
+            for start in range(0, len(tr), _ROW_BLOCK)
         )
         _write_csv(out / "trace.csv", TRACE_HEADER, rows)
         print(f"wrote {out / 'trace.csv'}")
@@ -268,8 +273,26 @@ def _parse_param(text: str, seen: set[str]) -> tuple[str, np.ndarray]:
         raise ConfigError(f"invalid --param {text!r}: {exc}") from exc
     if count < 1:
         raise ConfigError(f"invalid --param {text!r}: count must be >= 1")
+    try:
+        grid = np.linspace(start, stop, count)
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's size limit
+        raise ConfigError(
+            f"invalid --param {text!r}: {count} points do not fit in memory"
+        ) from exc
     seen.add(name)
-    return name, np.linspace(start, stop, count)
+    return name, grid
+
+
+def _sweep_cell(values: dict, satisfaction: float) -> list[str]:
+    """Result and error fields of one sweep cell, solved by the scalar path."""
+    try:
+        result = solve_balance(
+            DemandStats(values["mean_demand"], values["max_demand"], values["r_agreed"]),
+            CostRates(values["c_en"], values["c_co2"], values["c_viol"], satisfaction),
+        )
+    except ValueError as exc:
+        return ["", "", "", "", "", str(exc)]
+    return [_fmt(v) for v in _result_dict(result).values()] + [""]
 
 
 def cmd_sweep(args) -> int:
@@ -290,48 +313,48 @@ def cmd_sweep(args) -> int:
         "c_co2": rates.c_co2,
         "c_viol": rates.c_viol,
     }
-    rows = []
-    successes = 0
-    for combo in itertools.product(*(grids[name] for name in names)):
-        values = dict(base)
-        values.update(zip(names, (float(v) for v in combo)))
-        inputs = [
-            _fmt(values[k])
-            for k in ("mean_demand", "max_demand", "r_agreed", "c_en", "c_co2", "c_viol")
-        ]
-        inputs.append(_fmt(rates.satisfaction))
-        try:
-            row_stats = DemandStats(
-                mean_demand=values["mean_demand"],
-                max_demand=values["max_demand"],
-                r_agreed=values["r_agreed"],
+    # Cells run in itertools.product order over the sorted names (the last
+    # name varies fastest); each grid value is formatted once.
+    shape = tuple(len(grids[name]) for name in names)
+    total = math.prod(shape)
+    if total > np.iinfo(np.intp).max:
+        raise ConfigError(f"sweep grid of {total} cells is too large to index")
+    labels = {name: np.array(_fmt_column(grids[name]), dtype=object) for name in names}
+    fixed = {k: _fmt(v) for k, v in base.items()}
+    satisfaction = _fmt(rates.satisfaction)
+    failed = 0
+
+    def blocks():
+        nonlocal failed
+        for start in range(0, total, _ROW_BLOCK):
+            n = min(_ROW_BLOCK, total - start)
+            index = dict(zip(names, np.unravel_index(np.arange(start, start + n), shape)))
+            inputs = {
+                k: grids[k][index[k]] if k in index else np.full(n, base[k])
+                for k in _SWEEP_INPUTS
+            }
+            solved, results = balance_grid(
+                *(inputs[k] for k in _SWEEP_INPUTS), rates.satisfaction
             )
-            row_rates = CostRates(
-                c_en=values["c_en"],
-                c_co2=values["c_co2"],
-                c_viol=values["c_viol"],
-                satisfaction=rates.satisfaction,
-            )
-            result = _solve_balance(row_stats, row_rates)
-        except ValueError as exc:
-            rows.append(inputs + ["", "", "", "", "", str(exc)])
-            continue
-        rows.append(
-            inputs
-            + [
-                _fmt(result.r_provisioned),
-                _fmt(result.w),
-                _fmt(result.c_wastage),
-                _fmt(result.p_viol),
-                _fmt(result.expected_penalty),
-                "",
+            columns = [
+                labels[k][index[k]].tolist() if k in index else [fixed[k]] * n
+                for k in _SWEEP_INPUTS
             ]
-        )
-        successes += 1
+            columns.append([satisfaction] * n)
+            columns.extend(_fmt_column(c) for c in results)
+            columns.append([""] * n)
+            for i in np.flatnonzero(~solved).tolist():
+                values = {k: float(inputs[k][i]) for k in _SWEEP_INPUTS}
+                cell = _sweep_cell(values, rates.satisfaction)
+                for column, text in zip(columns[len(_SWEEP_INPUTS) + 1:], cell):
+                    column[i] = text
+                failed += cell[-1] != ""
+            yield zip(*columns)
 
     out = _out_dir(args)
-    _write_csv(out / "sweep.csv", SWEEP_HEADER, rows)
-    print(f"wrote {out / 'sweep.csv'} ({successes}/{len(rows)} rows solved)")
+    _write_csv(out / "sweep.csv", SWEEP_HEADER, itertools.chain.from_iterable(blocks()))
+    successes = total - failed
+    print(f"wrote {out / 'sweep.csv'} ({successes}/{total} rows solved)")
     return 0 if successes else 2
 
 

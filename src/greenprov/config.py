@@ -59,6 +59,37 @@ _POLICY_KEYS = {
 }
 
 
+class _StrictLoader(yaml.SafeLoader):
+    """SafeLoader that rejects a mapping key given twice (YAML requires
+    unique keys; PyYAML would keep the last value)."""
+
+    def construct_document(self, node):
+        self._check_unique_keys(node, "", set())
+        return super().construct_document(node)
+
+    def _check_unique_keys(self, node, path: str, visited: set):
+        if id(node) in visited:  # aliases can make the node graph cyclic
+            return
+        visited.add(id(node))
+        if isinstance(node, yaml.MappingNode):
+            seen = set()
+            for key_node, value_node in node.value:
+                if not isinstance(key_node, yaml.ScalarNode):
+                    continue  # the constructor rejects it as unhashable
+                # keys given next to a merge (<<) override the merged ones
+                merge = key_node.tag == "tag:yaml.org,2002:merge"
+                key = "<<" if merge else self.construct_object(key_node)
+                full = f"{path}.{key}" if path else str(key)
+                if not merge:
+                    if key in seen:
+                        raise ConfigError(f"duplicate key: {full}", full)
+                    seen.add(key)
+                self._check_unique_keys(value_node, full, visited)
+        elif isinstance(node, yaml.SequenceNode):
+            for i, item in enumerate(node.value):
+                self._check_unique_keys(item, f"{path}[{i}]", visited)
+
+
 def _as_map(value, path: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"invalid value at {path}: expected a mapping", path)
@@ -222,7 +253,10 @@ def resolve_stats(spec: StatsSpec, profile: DemandProfile | None, path: str = "s
                 f"missing key: {full} (no demand section to derive it from)", full
             )
         if mean is None:
-            mean = profile.mean()
+            try:
+                mean = profile.mean()
+            except ValueError as exc:
+                raise ConfigError(f"invalid value at demand: {exc}", "demand") from exc
         if peak is None:
             try:
                 if spec.max_method:
@@ -388,7 +422,7 @@ def parse_document(document) -> ParsedConfig:
 def load_config(path: str) -> ParsedConfig:
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            document = yaml.safe_load(handle)
+            document = yaml.load(handle, Loader=_StrictLoader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"invalid value at config: not parseable ({exc})", "") from exc
     if document is None:

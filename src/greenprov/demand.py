@@ -97,7 +97,7 @@ class DemandProfile:
             a, b = self._tn_shape()
             return float(sps.truncnorm.mean(a, b, loc=self.mu, scale=self.sigma))
         if self.kind == LOGNORMAL:
-            return self._lognorm_moments()[0]
+            return self._lognorm_moment(1)
         return float(np.mean(self.values))
 
     def variance(self) -> float:
@@ -110,8 +110,8 @@ class DemandProfile:
             a, b = self._tn_shape()
             return float(sps.truncnorm.var(a, b, loc=self.mu, scale=self.sigma))
         if self.kind == LOGNORMAL:
-            m1, m2 = self._lognorm_moments()
-            return max(0.0, m2 - m1 * m1)
+            m1 = self._lognorm_moment(1)
+            return max(0.0, self._lognorm_moment(2) - m1 * m1)
         return float(np.var(self.values))
 
     def max_estimate(self, method: str = DEFAULT_MAX, q: float = DEFAULT_QUANTILE) -> float:
@@ -194,18 +194,23 @@ class DemandProfile:
     def _tn_shape(self) -> tuple[float, float]:
         return (self.lower - self.mu) / self.sigma, (self.upper - self.mu) / self.sigma
 
-    def _lognorm_moments(self) -> tuple[float, float]:
-        """First and second raw moments (upper truncation folded in)."""
+    def _lognorm_moment(self, k: int) -> float:
+        """k-th raw moment (upper truncation folded in).
+
+        Raises InvalidDistribution when it is not a finite float.
+        """
         m, s = self.mu_log, self.sigma_log
+        try:
+            moment = math.exp(k * m + 0.5 * k * k * s * s)
+        except OverflowError:
+            raise InvalidDistribution(
+                f"lognormal moment {k} overflows (mu_log={m}, sigma_log={s})"
+            ) from None
         if self.upper is None:
-            m1 = math.exp(m + 0.5 * s * s)
-            m2 = math.exp(2.0 * m + 2.0 * s * s)
-            return m1, m2
+            return moment
         beta = (math.log(self.upper) - m) / s
         cap = float(sps.norm.cdf(beta))
-        m1 = math.exp(m + 0.5 * s * s) * float(sps.norm.cdf(beta - s)) / cap
-        m2 = math.exp(2.0 * m + 2.0 * s * s) * float(sps.norm.cdf(beta - 2.0 * s)) / cap
-        return m1, m2
+        return moment * float(sps.norm.cdf(beta - k * s)) / cap
 
     def _transform(self, u: np.ndarray) -> np.ndarray:
         """Inverse CDF applied to uniforms in [0, 1)."""
@@ -285,6 +290,10 @@ def make_profile(kind: str, params: Sequence[float], resource_unit: str = "") ->
             raise InvalidDistribution(f"sigma_log must be positive, got {sigma_log}")
         if upper is not None and upper <= 0.0:
             raise InvalidDistribution("lognormal truncation point must be positive")
+        if upper is not None and sps.norm.cdf((math.log(upper) - mu_log) / sigma_log) == 0.0:
+            raise InvalidDistribution(
+                f"lognormal truncation point {upper} carries no probability mass"
+            )
         return DemandProfile(
             LOGNORMAL, mu_log=mu_log, sigma_log=sigma_log, upper=upper,
             resource_unit=resource_unit,

@@ -20,15 +20,13 @@ from .balance import (
     BalanceResult,
     CostRates,
     DemandStats,
-    balance_closed_form,
-    balance_numeric,
     heuristic_band,
+    solve_balance,
 )
 from .demand import DemandProfile
 from .errors import (
     DegenerateCosts,
     InvalidScenario,
-    NonzeroSatisfaction,
     NoRootInRange,
     PolicyUnresolvable,
 )
@@ -105,10 +103,8 @@ class Policy:
 
 def _balance(stats: DemandStats, rates: CostRates) -> BalanceResult:
     try:
-        if rates.satisfaction == 0.0:
-            return balance_closed_form(stats, rates)
-        return balance_numeric(stats, rates)
-    except (DegenerateCosts, NonzeroSatisfaction, NoRootInRange) as exc:
+        return solve_balance(stats, rates)
+    except (DegenerateCosts, NoRootInRange) as exc:
         raise PolicyUnresolvable(f"balance policy unresolvable: {exc}") from exc
 
 

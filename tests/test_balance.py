@@ -5,6 +5,7 @@ the raw arithmetic (no calls into the package), so the two routes stay
 independent.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -21,11 +22,13 @@ from greenprov import (
     NonzeroSatisfaction,
     NoRootInRange,
     balance_closed_form,
+    balance_grid,
     balance_numeric,
     evaluate_balance_cell,
     expected_penalty,
     heuristic_band,
     sensitivity_sweep,
+    solve_balance,
     violation_probability_linear,
     wastage_cost,
     wastage_fraction,
@@ -305,3 +308,70 @@ class TestSweep:
         cell = evaluate_balance_cell(stats, rates)
         assert cell.result.r_provisioned == pytest.approx(14400 / 260, rel=1e-12)
         assert cell.error is None
+
+
+class TestSolveBalance:
+    def test_dispatches_on_satisfaction(self, stats, rates):
+        assert solve_balance(stats, rates) == balance_closed_form(stats, rates)
+        surcharged = CostRates(2.0, 0.0, 1.0, satisfaction=0.2)
+        assert solve_balance(stats, surcharged) == balance_numeric(stats, surcharged)
+
+
+class TestBalanceGrid:
+    # Every validation rule, both closed-form endpoints, degenerate prices,
+    # sums and products that overflow to inf/NaN, a closed form that rounds
+    # above max_demand (c_en 1e-200, c_viol 0.009), bisection with and
+    # without a root, and an exact endpoint root ((80 - 40) / 100 * 0.5 == 0.2).
+    AXES = (
+        (0.0, 20.0, 40.0, 79.9, 80.0, 90.0, -1.0, math.nan),  # mean_demand
+        (0.0, 80.0, 100.0, 120.0, math.inf),  # max_demand
+        (100.0, 0.0),  # r_agreed
+        (0.0, 0.5, 1.5, -1.0, 1e308, 1e-200),  # c_en
+        (0.0, 0.5, 1e308),  # c_co2
+        (0.0, 1.0, 1e308, 0.009),  # c_viol
+        (0.0, 0.05, 0.2),  # satisfaction
+    )
+
+    def test_matches_scalar_dispatcher_bit_for_bit(self):
+        cells = list(itertools.product(*self.AXES))
+        solved, columns = balance_grid(*np.array(cells).T)
+        table = np.column_stack(columns)
+        outcomes = set()
+        for i, (mean, peak, agreed, c_en, c_co2, c_viol, sat) in enumerate(cells):
+            try:
+                result = solve_balance(
+                    DemandStats(mean, peak, agreed), CostRates(c_en, c_co2, c_viol, sat)
+                )
+            except ValueError as exc:
+                outcomes.add(type(exc).__name__)
+                assert not solved[i], cells[i]
+                assert np.isnan(table[i]).all()
+                continue
+            outcomes.add("solved")
+            assert solved[i], cells[i]
+            expected = np.array(
+                [result.r_provisioned, result.w, result.c_wastage, result.p_viol,
+                 result.expected_penalty]
+            )
+            assert expected.view(np.int64).tolist() == table[i].view(np.int64).tolist(), cells[i]
+        assert outcomes == {
+            "solved", "InvalidStats", "InvalidRates", "DegenerateCosts", "NoRootInRange"
+        }
+
+    def test_inputs_broadcast(self, stats, rates):
+        solved, columns = balance_grid(40.0, 80.0, 100.0, 1.5, 0.5, [0.0, 1.0], 0.0)
+        assert solved.tolist() == [True, True]
+        assert columns[0][0] == 40.0
+        assert columns[0][1] == balance_closed_form(stats, rates).r_provisioned
+        no_root, columns = balance_grid(79.9, 80.0, 100.0, 1.5, 0.5, 1.0, 5.0)
+        assert not no_root and np.isnan(columns[0])
+
+    def test_two_dimensional_bisection(self):
+        means = np.array([[40.0, 90.0], [20.0, 60.0]])
+        solved, columns = balance_grid(means, 80.0, 100.0, 1.5, 0.5, 1.0, 0.05)
+        assert solved.tolist() == [[True, False], [True, True]]
+        for index in ((0, 0), (1, 0), (1, 1)):
+            expected = solve_balance(
+                DemandStats(means[index], 80.0, 100.0), CostRates(1.5, 0.5, 1.0, 0.05)
+            )
+            assert columns[0][index] == expected.r_provisioned

@@ -2,14 +2,19 @@
 strict scenario echo."""
 
 import csv
+import io
+import itertools
 import json
 import textwrap
+import tracemalloc
 
 import jsonschema
 import pytest
 
-from greenprov import DemandStats, CostRates, balance_closed_form
-from greenprov.cli import main
+import numpy as np
+
+from greenprov import DemandStats, CostRates, balance_closed_form, solve_balance
+from greenprov.cli import _ROW_BLOCK, _fmt, main
 from greenprov.config import build_scenario, load_config, scenario_from_dict
 from greenprov.schemas import (
     BALANCE_RECORD_SCHEMA,
@@ -130,6 +135,21 @@ class TestBalanceCommand:
             """,
         )
         assert main(["balance", path]) == 2
+
+    @pytest.mark.parametrize("extra", ["", "max_method: mean_plus_variance"])
+    @pytest.mark.parametrize("mu_log", [400, 800])
+    def test_lognormal_overflow_is_a_config_error(self, tmp_path, capsys, mu_log, extra):
+        path = write(
+            tmp_path,
+            f"""
+            demand: {{kind: lognormal, mu_log: {mu_log}, sigma_log: 1}}
+            stats: {{r_agreed: 100, {extra}}}
+            rates: {{c_en: 1.5, c_co2: 0.5, c_viol: 1.0}}
+            """,
+        )
+        assert main(["balance", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and len(err.splitlines()) == 1
 
     def test_missing_file(self, tmp_path):
         assert main(["balance", str(tmp_path / "nope.yaml")]) == 1
@@ -286,6 +306,20 @@ class TestSweepCommand:
         assert main(["sweep", config, "--param", "c_viol=a:b:3"]) == 1
         assert main(["sweep", config, "--param", "c_viol=0:10:0"]) == 1
 
+    def test_unallocatable_grid_is_a_config_error(self, config, capsys):
+        # 8 PB of float64: the allocation fails before any memory is touched
+        assert main(["sweep", config, "--param", f"c_en=0:1:{10**15}"]) == 1
+        err = capsys.readouterr().err
+        assert "do not fit in memory" in err and len(err.splitlines()) == 1
+
+    def test_unindexable_grid_is_a_config_error(self, config, tmp_path, capsys):
+        out = tmp_path / "out"
+        params = [f"--param={name}=0:1:100000" for name in ("c_en", "c_co2", "c_viol", "r_agreed")]
+        assert main(["sweep", config, "--output", str(out), *params]) == 1
+        err = capsys.readouterr().err
+        assert "too large to index" in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_param_required(self, config):
         assert main(["sweep", config]) == 1
 
@@ -312,6 +346,103 @@ class TestSweepCommand:
             """,
         )
         assert main(["sweep", path, "--param", "c_viol=0:0:1"]) == 2
+
+
+SWEEP_INPUTS = ("mean_demand", "max_demand", "r_agreed", "c_en", "c_co2", "c_viol")
+
+
+def reference_sweep_csv(base: dict, satisfaction: float, params) -> bytes:
+    """sweep.csv from the per-cell loop: scalar stats, rates and solve per cell."""
+    grids = {}
+    for text in params:
+        name, _, grid = text.partition("=")
+        start, stop, count = grid.split(":")
+        grids[name] = np.linspace(float(start), float(stop), int(count))
+    names = sorted(grids)
+    handle = io.StringIO(newline="")
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(SWEEP_HEADER)
+    for combo in itertools.product(*(grids[name] for name in names)):
+        values = dict(base)
+        values.update(zip(names, (float(v) for v in combo)))
+        row = [_fmt(values[k]) for k in SWEEP_INPUTS] + [_fmt(satisfaction)]
+        try:
+            result = solve_balance(
+                DemandStats(values["mean_demand"], values["max_demand"], values["r_agreed"]),
+                CostRates(values["c_en"], values["c_co2"], values["c_viol"], satisfaction),
+            )
+        except ValueError as exc:
+            writer.writerow(row + ["", "", "", "", "", str(exc)])
+            continue
+        fields = (result.r_provisioned, result.w, result.c_wastage, result.p_viol,
+                  result.expected_penalty)
+        writer.writerow(row + [_fmt(v) for v in fields] + [""])
+    return handle.getvalue().encode("utf-8")
+
+
+class TestSweepMatchesPerCellLoop:
+    BASE = {"mean_demand": 40.0, "max_demand": 80.0, "r_agreed": 100.0,
+            "c_en": 0.5, "c_co2": 0.0, "c_viol": 1.0}
+
+    def run(self, tmp_path, satisfaction, params):
+        rates = {k: self.BASE[k] for k in ("c_en", "c_co2", "c_viol")}
+        stats = {k: self.BASE[k] for k in ("mean_demand", "max_demand", "r_agreed")}
+        path = write(
+            tmp_path,
+            f"stats: {json.dumps(stats)}\n"
+            f"rates: {json.dumps({**rates, 'satisfaction': satisfaction})}\n",
+        )
+        out = tmp_path / "out"
+        argv = ["sweep", path, "--output", str(out)]
+        for text in params:
+            argv += ["--param", text]
+        main(argv)
+        got = (out / "sweep.csv").read_bytes()
+        assert got == reference_sweep_csv(self.BASE, satisfaction, params)
+        return got.decode("utf-8")
+
+    def test_invalid_and_degenerate_cells(self, tmp_path):
+        # mean > max, max > r_agreed, negative c_en, all-zero prices, and
+        # the c_viol == 0 and c_provision == 0 endpoints
+        text = self.run(tmp_path, 0.0, [
+            "mean_demand=0:100:6", "max_demand=60:120:4",
+            "c_en=-0.5:1:4", "c_viol=0:2:3",
+        ])
+        for error in ("exceeds r_agreed", "< mean_demand", "c_en must be",
+                      "both cost channels are zero"):
+            assert error in text
+
+    def test_surcharge_bisection(self, tmp_path):
+        # c_en = 0.5 puts the root exactly on max_demand; others have none
+        text = self.run(tmp_path, 0.2, [
+            "mean_demand=0:100:6", "c_en=0:1:5", "c_viol=0:2:3",
+        ])
+        assert "does not cross zero" in text
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_and_overflowing_inputs(self, tmp_path):
+        self.run(tmp_path, 0.0, ["c_viol=1e300:1e308:3", "c_co2=0:inf:3"])
+
+    @pytest.mark.parametrize("count", [_ROW_BLOCK - 1, _ROW_BLOCK, 2 * _ROW_BLOCK + 1])
+    def test_block_edges(self, tmp_path, count):
+        self.run(tmp_path, 0.0, [f"mean_demand=0:100:{count}"])
+
+    def test_memory_does_not_grow_with_cells(self, tmp_path):
+        # 2e5 cells: holding every row would take well over 100 MB
+        path = write(tmp_path, BASE)
+        tracemalloc.start()
+        try:
+            code = main([
+                "sweep", path, "--output", str(tmp_path / "out"),
+                "--param", "mean_demand=0:100:50",
+                "--param", "c_viol=0:5:80",
+                "--param", "c_en=0:3:50",
+            ])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 8 * 2**20
 
 
 class TestUsage:

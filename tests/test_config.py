@@ -6,6 +6,7 @@ import textwrap
 import pytest
 
 from greenprov import ConfigError, Policy, make_profile
+from greenprov.cli import main
 from greenprov.config import (
     build_scenario,
     load_config,
@@ -240,6 +241,55 @@ class TestStrictness:
         path = write_config(tmp_path, "\n")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "text, path",
+        [
+            (
+                """
+                rates: {c_en: 1.5, c_co2: 0.5, c_viol: 1.0}
+                rates: {c_en: 9.0, c_co2: 0.5, c_viol: 1.0}
+                """,
+                "rates",
+            ),
+            ("demand: {kind: uniform, lower: 0, upper: 80, upper: 90}\n", "demand.upper"),
+            (
+                """
+                market:
+                  price_per_kg: 0.01
+                  accounts:
+                    - {name: a, cap_kg: 1, emissions_kg: 1}
+                    - {name: b, cap_kg: 1, emissions_kg: 1, cap_kg: 2}
+                """,
+                "market.accounts[1].cap_kg",
+            ),
+            (
+                "stats: {<<: {r_agreed: 100, r_agreed: 90}, mean_demand: 40}\n",
+                "stats.<<.r_agreed",
+            ),
+        ],
+    )
+    def test_duplicate_keys_rejected_with_path(self, tmp_path, capsys, text, path):
+        config = write_config(tmp_path, text)
+        with pytest.raises(ConfigError) as err:
+            load_config(config)
+        assert str(err.value) == f"duplicate key: {path}"
+        assert err.value.path == path
+        assert main(["balance", config]) == 1
+        assert capsys.readouterr().err == f"config error: duplicate key: {path}\n"
+
+    def test_merge_keys_may_be_overridden(self, tmp_path):
+        config = write_config(
+            tmp_path,
+            "stats: {<<: {r_agreed: 100, mean_demand: 40}, mean_demand: 30, max_demand: 80}\n",
+        )
+        assert load_config(config).stats().mean_demand == 30
+
+    def test_recursive_alias_is_checked_once(self, tmp_path):
+        config = write_config(tmp_path, "stats: &s {r_agreed: *s}\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(config)
+        assert "stats.r_agreed" in str(err.value)
 
     def test_market_accounts_must_be_nonempty(self, tmp_path):
         path = write_config(tmp_path, "market: {price_per_kg: 0.01, accounts: []}\n")

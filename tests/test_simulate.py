@@ -25,7 +25,7 @@ from greenprov import (
     resolve_policy,
     run_simulation,
 )
-from greenprov import simulate
+from greenprov import balance, simulate
 from greenprov.simulate import _CHUNK, TRACE_STEP_LIMIT, _replication_rng
 
 
@@ -111,7 +111,7 @@ class TestResolvePolicy:
             calls.append(args)
             return balance_closed_form(*args)
 
-        monkeypatch.setattr(simulate, "balance_closed_form", counting)
+        monkeypatch.setattr(balance, "balance_closed_form", counting)
         resolve_policy(Policy.balance_band(0.1), stats, rates)
         assert len(calls) == 1
 
