@@ -274,7 +274,9 @@ def _parse_param(text: str, seen: set[str]) -> tuple[str, np.ndarray]:
     if count < 1:
         raise ConfigError(f"invalid --param {text!r}: count must be >= 1")
     try:
-        grid = np.linspace(start, stop, count)
+        # non-finite or overflowing bounds give inf/NaN points: error rows
+        with np.errstate(invalid="ignore", over="ignore"):
+            grid = np.linspace(start, stop, count)
     except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's size limit
         raise ConfigError(
             f"invalid --param {text!r}: {count} points do not fit in memory"

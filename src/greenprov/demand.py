@@ -20,16 +20,22 @@ All random draws use inverse-transform sampling on a caller-owned
 ``numpy.random.Generator``:  a fixed seed yields the same draw sequence on
 every run and platform, and two consumers that share a seed see identical
 demand paths (the basis for common-random-number policy comparisons).
+
+Truncated-normal and lognormal tail probabilities, quantiles and draws are
+exact inverse CDFs built on scipy.special's ``log_ndtr``, ``erfcx`` and
+``ndtri_exp`` in log space, so a window far out in either tail neither
+underflows nor rounds to 1; their moments are integrated about the window
+end nearest the mode, so a far-tail or narrow window keeps its variance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 from .errors import InvalidDistribution, UnboundedSupport
 
@@ -47,6 +53,10 @@ TRUE_UPPER_BOUND = "true_upper_bound"
 DEFAULT_MAX = "default"
 
 DEFAULT_QUANTILE = 0.99
+
+_SQRT_HALF = math.sqrt(0.5)
+_NODES = 64  # Gauss-Legendre nodes per side of a truncated-normal window
+_LOG_MIN = math.log(5e-324)  # log of the smallest positive float
 
 
 def _finite(*xs: float) -> bool:
@@ -94,11 +104,11 @@ class DemandProfile:
         if self.kind == UNIFORM:
             return 0.5 * (self.lower + self.upper)
         if self.kind == TRUNCATED_NORMAL:
-            a, b = self._tn_shape()
-            return float(sps.truncnorm.mean(a, b, loc=self.mu, scale=self.sigma))
+            return self._tn_moments()[0]
         if self.kind == LOGNORMAL:
-            return self._lognorm_moment(1)
-        return float(np.mean(self.values))
+            m1 = self._lognorm_moment(1)
+            return m1 if self.upper is None else min(m1, self.upper)
+        return float(np.mean(self._observed))
 
     def variance(self) -> float:
         """Variance of demand (analytic; for empirical, the variance of the
@@ -107,12 +117,10 @@ class DemandProfile:
             width = self.upper - self.lower
             return width * width / 12.0
         if self.kind == TRUNCATED_NORMAL:
-            a, b = self._tn_shape()
-            return float(sps.truncnorm.var(a, b, loc=self.mu, scale=self.sigma))
+            return self._tn_moments()[1]
         if self.kind == LOGNORMAL:
-            m1 = self._lognorm_moment(1)
-            return max(0.0, self._lognorm_moment(2) - m1 * m1)
-        return float(np.var(self.values))
+            return self._lognorm_variance()
+        return float(np.var(self._observed))
 
     def max_estimate(self, method: str = DEFAULT_MAX, q: float = DEFAULT_QUANTILE) -> float:
         """Estimate of the demand maximum.
@@ -148,35 +156,26 @@ class DemandProfile:
             if r >= self.upper:
                 return 0.0
             a, b = self._tn_shape()
-            return float(sps.truncnorm.sf(r, a, b, loc=self.mu, scale=self.sigma))
+            z = (r - self.mu) / self.sigma
+            return min(1.0, math.exp(_log_mass_ratio(z, b, a, b)))
         if self.kind == LOGNORMAL:
             if r <= 0.0:
                 return 1.0
             if self.upper is not None and r >= self.upper:
                 return 0.0
+            beta = self._beta()
             z = (math.log(r) - self.mu_log) / self.sigma_log
-            if self.upper is None:
-                return float(sps.norm.sf(z))
-            cap = float(sps.norm.cdf((math.log(self.upper) - self.mu_log) / self.sigma_log))
-            return min(1.0, max(0.0, (cap - float(sps.norm.cdf(z))) / cap))
+            return min(1.0, math.exp(_log_mass_ratio(z, beta, -math.inf, beta)))
         n = len(self.values)
-        return float(np.count_nonzero(np.asarray(self.values) > r)) / n
+        return float(np.count_nonzero(self._observed > r)) / n
 
     def quantile(self, q: float) -> float:
         """q-quantile of demand, 0 < q < 1 (inverted step CDF for empirical)."""
         if not 0.0 < q < 1.0:
             raise ValueError(f"quantile level must be in (0, 1), got {q}")
-        if self.kind == UNIFORM:
-            return self.lower + q * (self.upper - self.lower)
-        if self.kind == TRUNCATED_NORMAL:
-            a, b = self._tn_shape()
-            return float(sps.truncnorm.ppf(q, a, b, loc=self.mu, scale=self.sigma))
-        if self.kind == LOGNORMAL:
-            if self.upper is None:
-                return math.exp(self.mu_log + self.sigma_log * float(sps.norm.ppf(q)))
-            cap = float(sps.norm.cdf((math.log(self.upper) - self.mu_log) / self.sigma_log))
-            return math.exp(self.mu_log + self.sigma_log * float(sps.norm.ppf(q * cap)))
-        return float(np.quantile(np.asarray(self.values), q, method="inverted_cdf"))
+        if self.kind == EMPIRICAL:
+            return float(np.quantile(self._observed, q, method="inverted_cdf"))
+        return float(self._transform(np.array([q]))[0])
 
     # -- sampling ----------------------------------------------------------
 
@@ -191,8 +190,32 @@ class DemandProfile:
 
     # -- internals ---------------------------------------------------------
 
+    @cached_property
+    def _observed(self) -> np.ndarray:
+        """``values`` as a read-only array, converted once, not per draw."""
+        observed = np.asarray(self.values, dtype=float)
+        observed.flags.writeable = False
+        return observed
+
     def _tn_shape(self) -> tuple[float, float]:
         return (self.lower - self.mu) / self.sigma, (self.upper - self.mu) / self.sigma
+
+    def _tn_moments(self) -> tuple[float, float]:
+        """Mean and variance of a truncated normal, from :func:`_tn_nodes`."""
+        a, b = self._tn_shape()
+        x0, y, w = _tn_nodes(a, b, (self.upper - self.lower) / self.sigma)
+        anchor = self.lower if x0 == a else self.upper if x0 == b else self.mu
+        total = w.sum()
+        shift = float(np.dot(w, y) / total)
+        spread = float(np.dot(w, (y - shift) ** 2) / total)
+        mean = anchor + self.sigma * shift
+        return min(max(mean, self.lower), self.upper), self.sigma * self.sigma * spread
+
+    def _beta(self) -> float:
+        """Standardized log of the lognormal truncation point (inf if none)."""
+        if self.upper is None:
+            return math.inf
+        return (math.log(self.upper) - self.mu_log) / self.sigma_log
 
     def _lognorm_moment(self, k: int) -> float:
         """k-th raw moment (upper truncation folded in).
@@ -200,33 +223,192 @@ class DemandProfile:
         Raises InvalidDistribution when it is not a finite float.
         """
         m, s = self.mu_log, self.sigma_log
+        beta = self._beta()
+        # E[D^k] = exp(k m + k^2 s^2 / 2) Phi(beta - k s) / Phi(beta)
+        log_moment = k * m + 0.5 * k * k * s * s
+        if self.upper is not None:
+            log_moment += _log_ndtr_ratio(beta - k * s, beta)
         try:
-            moment = math.exp(k * m + 0.5 * k * k * s * s)
+            return math.exp(log_moment)
         except OverflowError:
             raise InvalidDistribution(
                 f"lognormal moment {k} overflows (mu_log={m}, sigma_log={s})"
             ) from None
-        if self.upper is None:
-            return moment
-        beta = (math.log(self.upper) - m) / s
-        cap = float(sps.norm.cdf(beta))
-        return moment * float(sps.norm.cdf(beta - k * s)) / cap
+
+    def _lognorm_variance(self) -> float:
+        """Variance without the cancellation of E[D^2] - E[D]^2.
+
+        A truncated law is integrated with :func:`_tn_nodes` when it is
+        nearly degenerate: truncated in the lower half (beta < 0), where its
+        spread shrinks like 1/beta**2, or narrow (sigma_log < 0.1).
+        Otherwise the variance is E[D]^2 * expm1(E), E = log E[D^2] -
+        2 log E[D] = s^2 plus two log-Phi ratios, which stays above s^2 / 3.
+        """
+        s = self.sigma_log
+        beta = self._beta()
+        try:
+            if beta < 0.0 or (self.upper is not None and s < 0.1):
+                x0, y, w = _tn_nodes(-math.inf, beta, math.inf)
+                g = np.exp(s * y)  # demand over exp(mu_log + s * x0)
+                mean = float(np.dot(w, g) / w.sum())
+                sd = math.sqrt(float(np.dot(w, (g - mean) ** 2) / w.sum()))
+                sd *= math.exp(self.mu_log + s * x0)
+            else:
+                excess = s * s
+                if self.upper is not None:
+                    excess += _log_ndtr_ratio(beta - 2 * s, beta - s)
+                    excess -= _log_ndtr_ratio(beta - s, beta)
+                sd = self._lognorm_moment(1) * math.sqrt(math.expm1(excess))
+        except OverflowError:
+            sd = math.inf
+        var = sd * sd
+        if not math.isfinite(var):
+            raise InvalidDistribution(
+                f"lognormal moment 2 overflows (mu_log={self.mu_log}, sigma_log={s})"
+            )
+        return var
 
     def _transform(self, u: np.ndarray) -> np.ndarray:
         """Inverse CDF applied to uniforms in [0, 1)."""
         if self.kind == UNIFORM:
             return self.lower + u * (self.upper - self.lower)
         if self.kind == TRUNCATED_NORMAL:
-            a, b = self._tn_shape()
-            return sps.truncnorm.ppf(u, a, b, loc=self.mu, scale=self.sigma)
+            z = _tn_ppf(*self._tn_shape(), u)
+            return np.clip(self.mu + self.sigma * z, self.lower, self.upper)
         if self.kind == LOGNORMAL:
-            if self.upper is None:
-                return np.exp(self.mu_log + self.sigma_log * sps.norm.ppf(u))
-            cap = float(sps.norm.cdf((math.log(self.upper) - self.mu_log) / self.sigma_log))
-            return np.exp(self.mu_log + self.sigma_log * sps.norm.ppf(u * cap))
-        vals = np.asarray(self.values)
+            d = np.exp(self.mu_log + self.sigma_log * _tn_ppf(-math.inf, self._beta(), u))
+            return d if self.upper is None else np.minimum(d, self.upper)
+        vals = self._observed
         idx = np.minimum((u * len(vals)).astype(np.int64), len(vals) - 1)
         return vals[idx]
+
+
+# -- the standard normal on a window [a, b] ------------------------------------
+#
+# Truncated normal demand is mu + sigma * Z and lognormal demand
+# exp(mu_log + sigma_log * Z), with Z ~ N(0, 1) restricted to a window (a
+# lognormal's window is (-inf, beta]).  The helpers below work on Z with
+# scipy.special, which make_profile loads for these two families only:
+# uniform and empirical profiles, and configs with explicit statistics,
+# never load scipy.
+
+
+def _log_ndtr(x: float) -> float:
+    from scipy.special import log_ndtr
+
+    return float(log_ndtr(x))
+
+
+def _log_ndtr_ratio(x: float, y: float) -> float:
+    """log(Phi(x) / Phi(y)), as exact at x = -40 as at x = -4.
+
+    Below 0, log Phi(t) = -t*t/2 + log(erfcx(-t/sqrt 2) / 2): the quadratic
+    parts are differenced as one product and the erfcx parts are of order
+    log|t|, so the ratio keeps its precision however deep or close x and y
+    are (a difference of two log_ndtr values loses |t|**2 ulps).
+    """
+    if x == y:
+        return 0.0
+    if x > 0.0 or y > 0.0:  # one log Phi is within log 2 of 0: no cancellation
+        return _log_ndtr(x) - _log_ndtr(y)
+    if x == -math.inf:
+        return -math.inf
+    from scipy.special import erfcx
+
+    return 0.5 * (y - x) * (y + x) + math.log(erfcx(-x * _SQRT_HALF) / erfcx(-y * _SQRT_HALF))
+
+
+def _mass(a: float, b: float) -> tuple[float, float]:
+    """Phi(b) - Phi(a) for a < b, as (t, r) with mass = Phi(t) * exp(r), t <= 0.
+
+    A window in the upper half is mirrored into the lower one, where Phi
+    neither rounds to 1 nor needs 1 - Phi; there t is its end nearest 0.
+    A window that straddles 0, or lies within 1 of it, has t = 0 and is a
+    difference of erf values, which for a straddling window are of
+    opposite sign, so a narrow window keeps its relative precision.
+    """
+    if a + b > 0.0:
+        a, b = -b, -a
+    if b <= 0.0 and a < -1.0:
+        return b, math.log(-math.expm1(_log_ndtr_ratio(a, b)))
+    return 0.0, math.log(math.erf(b * _SQRT_HALF) - math.erf(a * _SQRT_HALF))
+
+
+def _log_mass_ratio(a1: float, b1: float, a2: float, b2: float) -> float:
+    """log of the mass of [a1, b1] over the mass of [a2, b2]."""
+    (t1, r1), (t2, r2) = _mass(a1, b1), _mass(a2, b2)
+    return _log_ndtr_ratio(t1, t2) + r1 - r2
+
+
+def _lower_ppf(a: float, mass: tuple[float, float], v: np.ndarray) -> np.ndarray:
+    """ndtri(Phi(a) + v * mass), with Phi(a) <= Phi(t) (t, r = mass), in log space."""
+    from scipy.special import ndtri_exp
+
+    t, r = mass
+    with np.errstate(divide="ignore"):  # v == 0 with Phi(a) == 0 gives -inf
+        return ndtri_exp(
+            _log_ndtr(t) + np.log(math.exp(_log_ndtr_ratio(a, t)) + v * math.exp(r))
+        )
+
+
+def _tn_ppf(a: float, b: float, u: np.ndarray) -> np.ndarray:
+    """Inverse CDF of Z on [a, b] at u in [0, 1].
+
+    A draw that lands below 0 inverts the lower-tail probability
+    Phi(a) + u * Z_ab; one above 0 inverts the upper-tail probability
+    Phi(-b) + (1 - u) * Z_ab of the mirrored window.  Both are evaluated
+    in log space (Botev 2017 keeps far-tail sampling stable the same way),
+    so neither rounds next to 1 nor underflows deep in a tail.
+    """
+    mass = _mass(a, b)
+    if a >= 0.0:
+        return -_lower_ppf(-b, mass, 1.0 - u)
+    if b <= 0.0:
+        return _lower_ppf(a, mass, u)
+    low = u <= math.exp(_log_mass_ratio(a, 0.0, a, b))
+    z = np.empty_like(u, dtype=np.float64)
+    z[low] = _lower_ppf(a, mass, u[low])
+    high = ~low
+    z[high] = -_lower_ppf(-b, mass, 1.0 - u[high])
+    return z
+
+
+@lru_cache(maxsize=1)
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(_NODES)
+    nodes.flags.writeable = weights.flags.writeable = False  # shared by every caller
+    return nodes, weights
+
+
+def _tn_nodes(a: float, b: float, width: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """Quadrature rule for Z on [a, b], whose width b - a is passed as well.
+
+    Returns the window point x0 nearest 0, node offsets y from it and
+    positive weights w, so that E[f(Z)] = sum(w * f(x0 + y)) / sum(w) for
+    smooth f.  About x0 the density exp(-c*y - y*y/2) (c = |x0|) only
+    falls, so moments taken about x0 do not cancel: neither a far tail,
+    whose spread is about 1/c**2, nor a narrow window, whose spread is
+    width**2/12.  Each side is cut where the density has fallen by e**-40;
+    64-point Gauss-Legendre integrates what is left to rounding.
+    """
+    if a >= 0.0:
+        x0, sides = a, ((1.0, width),)
+    elif b <= 0.0:
+        x0, sides = b, ((-1.0, width),)
+    else:
+        x0, sides = 0.0, ((1.0, b), (-1.0, -a))
+    c = abs(x0)
+    reach = 80.0 / (c + math.sqrt(c * c + 80.0))  # root of c*y + y*y/2 = 40
+    t, g = _gauss_legendre()
+    offsets, weights = [], []
+    for sign, width in sides:
+        half = 0.5 * min(width, reach)
+        y = half * (t + 1.0)
+        offsets.append(sign * y)
+        weights.append(half * g * np.exp(-y * (c + 0.5 * y)))
+    return x0, np.concatenate(offsets), np.concatenate(weights)
 
 
 def make_profile(kind: str, params: Sequence[float], resource_unit: str = "") -> DemandProfile:
@@ -242,6 +424,10 @@ def make_profile(kind: str, params: Sequence[float], resource_unit: str = "") ->
     Raises InvalidDistribution when a family constraint is violated.
     """
     params = [float(p) for p in params]
+    if kind in (TRUNCATED_NORMAL, LOGNORMAL):
+        # their tails, quantiles and draws need scipy.special: load it when
+        # the profile is built, not on its first draw
+        import scipy.special  # noqa: F401
 
     if kind == UNIFORM:
         if len(params) != 2:
@@ -290,7 +476,7 @@ def make_profile(kind: str, params: Sequence[float], resource_unit: str = "") ->
             raise InvalidDistribution(f"sigma_log must be positive, got {sigma_log}")
         if upper is not None and upper <= 0.0:
             raise InvalidDistribution("lognormal truncation point must be positive")
-        if upper is not None and sps.norm.cdf((math.log(upper) - mu_log) / sigma_log) == 0.0:
+        if upper is not None and _log_ndtr((math.log(upper) - mu_log) / sigma_log) < _LOG_MIN:
             raise InvalidDistribution(
                 f"lognormal truncation point {upper} carries no probability mass"
             )

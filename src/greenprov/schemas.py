@@ -7,6 +7,9 @@ truth for tabular outputs and their readers.
 
 from __future__ import annotations
 
+from .demand import FAMILIES
+from .simulate import POLICY_KINDS
+
 _NUMBER = {"type": "number"}
 _NONNEG = {"type": "number", "minimum": 0}
 _U64 = {"type": "integer", "minimum": 0, "maximum": 2**64 - 1}
@@ -39,10 +42,7 @@ _DEMAND = {
     "additionalProperties": False,
     "required": ["kind"],
     "properties": {
-        "kind": {
-            "type": "string",
-            "enum": ["uniform", "truncated_normal", "lognormal", "empirical"],
-        },
+        "kind": {"type": "string", "enum": list(FAMILIES)},
         "lower": _NUMBER,
         "upper": _NUMBER,
         "mu": _NUMBER,
@@ -59,16 +59,7 @@ _POLICY = {
     "additionalProperties": False,
     "required": ["kind"],
     "properties": {
-        "kind": {
-            "type": "string",
-            "enum": [
-                "fixed_agreed",
-                "mean_follow",
-                "balance",
-                "balance_band",
-                "fixed_level",
-            ],
-        },
+        "kind": {"type": "string", "enum": list(POLICY_KINDS)},
         "x_percent": _NUMBER,
         "level": _NUMBER,
     },

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy 2 defers it; load it here, not in the first run
 
 from .balance import (
     BalanceResult,

@@ -7,6 +7,7 @@ import itertools
 import json
 import textwrap
 import tracemalloc
+import warnings
 
 import jsonschema
 import pytest
@@ -16,13 +17,16 @@ import numpy as np
 from greenprov import DemandStats, CostRates, balance_closed_form, solve_balance
 from greenprov.cli import _ROW_BLOCK, _fmt, main
 from greenprov.config import build_scenario, load_config, scenario_from_dict
+from greenprov.demand import FAMILIES
 from greenprov.schemas import (
     BALANCE_RECORD_SCHEMA,
+    SCENARIO_SCHEMA,
     SETTLEMENT_HEADER,
     SIMULATION_REPORT_SCHEMA,
     SWEEP_HEADER,
     TRACE_HEADER,
 )
+from greenprov.simulate import POLICY_KINDS
 
 BASE = """
 demand:
@@ -357,7 +361,8 @@ def reference_sweep_csv(base: dict, satisfaction: float, params) -> bytes:
     for text in params:
         name, _, grid = text.partition("=")
         start, stop, count = grid.split(":")
-        grids[name] = np.linspace(float(start), float(stop), int(count))
+        with np.errstate(invalid="ignore", over="ignore"):
+            grids[name] = np.linspace(float(start), float(stop), int(count))
     names = sorted(grids)
     handle = io.StringIO(newline="")
     writer = csv.writer(handle, lineterminator="\n")
@@ -419,9 +424,14 @@ class TestSweepMatchesPerCellLoop:
         ])
         assert "does not cross zero" in text
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    def test_non_finite_and_overflowing_inputs(self, tmp_path):
-        self.run(tmp_path, 0.0, ["c_viol=1e300:1e308:3", "c_co2=0:inf:3"])
+    def test_non_finite_and_overflowing_inputs(self, tmp_path, capsys):
+        # np.linspace over an infinite or overflowing span warns; the sweep
+        # must not pass that on (any warning here is an error)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.run(tmp_path, 0.0, ["c_viol=1e300:1e308:3", "c_co2=0:inf:3"])
+            self.run(tmp_path, 0.0, ["c_viol=1e308:-1e308:3"])
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("count", [_ROW_BLOCK - 1, _ROW_BLOCK, 2 * _ROW_BLOCK + 1])
     def test_block_edges(self, tmp_path, count):
@@ -455,3 +465,10 @@ class TestUsage:
     def test_bad_seed_flag(self, config):
         assert main(["simulate", config, "--seed", "-3"]) == 1
         assert main(["simulate", config, "--seed", str(2**64)]) == 1
+
+
+class TestSchemas:
+    def test_kind_enums_follow_the_constants(self):
+        properties = SCENARIO_SCHEMA["properties"]
+        assert properties["demand"]["properties"]["kind"]["enum"] == list(FAMILIES)
+        assert properties["policy"]["properties"]["kind"]["enum"] == list(POLICY_KINDS)

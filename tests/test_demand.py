@@ -1,12 +1,14 @@
 """Demand profile construction, statistics, and reproducible sampling.
 
 Parametric moments are checked against quadrature oracles built from
-math.erf (no shared code with the implementation), sampled statistics
-against 3-sigma CLT/binomial bounds computed inline.
+math.erf (no shared code with the implementation) and, deep in the tails,
+against 60-digit mpmath references; sampled statistics against 3-sigma
+CLT/binomial bounds computed inline.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -318,3 +320,119 @@ class TestSampling:
             fraction = np.count_nonzero(draws > r) / n
             bound = 3.0 * math.sqrt(max(p * (1 - p), 1e-12) / n)
             assert abs(fraction - p) <= bound
+
+
+# -- accuracy against 60-digit references ---------------------------------------
+
+ACCURACY = 1e-12
+UNIFORMS = [1e-3, 0.01, 0.25, 0.5, 0.75, 0.99, 0.999]
+
+
+class FixedUniforms:
+    """Generator stand-in whose random(n) returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, n):
+        assert n == len(self.u)
+        return self.u.copy()
+
+
+def close(got, want):
+    return abs(mpmath.mpf(got) - want) <= ACCURACY * abs(want)
+
+
+def mp_mass(lo, hi):
+    """Phi(hi) - Phi(lo) in mpmath, mirrored so it never takes 1 - Phi."""
+    if lo + hi > 0:
+        lo, hi = -hi, -lo
+    return mpmath.ncdf(hi) - mpmath.ncdf(lo)
+
+
+def check_against(profile, mean, var, tail, ppf, points):
+    """Compare moments, tails at points, quantiles and sample_many on
+    UNIFORMS with mpmath references (ppf(q, start) solves for the exact
+    q-quantile starting from the computed one)."""
+    assert close(profile.mean(), mean)
+    assert close(profile.variance(), var)
+    for r in points:
+        assert close(profile.tail_probability(r), tail(r)), r
+    draws = profile.sample_many(FixedUniforms(UNIFORMS), len(UNIFORMS))
+    for q, x in zip(UNIFORMS, draws):
+        want = ppf(q, x)
+        assert close(profile.quantile(q), want), q
+        assert close(x, want), q
+
+
+@pytest.mark.parametrize(
+    "mu,sigma,lower,upper",
+    [
+        (40, 15, 0, 80),  # the benchmark's fixture
+        (0, 1, 8, 9),
+        (0, 1, 40, 41),  # Phi(-40) is below the smallest double
+        (100, 1, 59, 60),  # the same window in the lower tail
+    ],
+)
+def test_truncated_normal_matches_mpmath(mu, sigma, lower, upper):
+    profile = make_profile("truncated_normal", [mu, sigma, lower, upper])
+    with mpmath.workdps(60):
+        a = (mpmath.mpf(lower) - mu) / sigma
+        b = (mpmath.mpf(upper) - mu) / sigma
+        mass = mp_mass(a, b)
+        pa, pb = mpmath.npdf(a), mpmath.npdf(b)
+        m = (pa - pb) / mass
+        var = 1 + (a * pa - b * pb) / mass - m * m
+
+        def tail(r):
+            return mp_mass((mpmath.mpf(r) - mu) / sigma, b) / mass
+
+        def ppf(q, start):
+            z = mpmath.findroot(lambda t: mp_mass(a, t) / mass - q, (start - mu) / sigma)
+            return mu + sigma * z
+
+        points = [lower + (upper - lower) * f for f in (0.01, 0.3, 0.5, 0.7, 0.99)]
+        check_against(profile, mu + sigma * m, sigma**2 * var, tail, ppf, points)
+
+
+@pytest.mark.parametrize(
+    "mu_log,sigma_log,beta",
+    [
+        (3.0, 0.5, None),
+        (3.0, 0.5, 8.0),  # upper deep in the upper tail
+        (3.0, 0.5, -8.0),
+        (3.0, 0.5, -30.0),  # upper deep in the lower tail
+        (0.0, 0.05, 0.0),  # narrow: E[D^2] - E[D]^2 cancels to 1e-3
+    ],
+)
+def test_lognormal_matches_mpmath(mu_log, sigma_log, beta):
+    upper = None if beta is None else math.exp(mu_log + sigma_log * beta)
+    params = [mu_log, sigma_log] + ([] if upper is None else [upper])
+    profile = make_profile("lognormal", params)
+    with mpmath.workdps(60):
+        m, s = mpmath.mpf(mu_log), mpmath.mpf(sigma_log)
+        top = mpmath.inf if upper is None else (mpmath.log(upper) - m) / s
+        cap = mpmath.ncdf(top)
+
+        def moment(k):
+            return mpmath.exp(k * m + k * k * s * s / 2) * mpmath.ncdf(top - k * s) / cap
+
+        def tail(r):
+            return mp_mass((mpmath.log(r) - m) / s, top) / cap
+
+        def ppf(q, start):
+            z = mpmath.findroot(lambda t: mpmath.ncdf(t) / cap - q, (mpmath.log(start) - m) / s)
+            return mpmath.exp(m + s * z)
+
+        m1 = moment(1)
+        hi = profile.quantile(0.999) if upper is None else upper
+        points = [hi * f for f in (0.2, 0.5, 0.8, 0.95)]
+        check_against(profile, m1, moment(2) - m1 * m1, tail, ppf, points)
+
+
+def test_narrow_window_moments_stay_in_range():
+    # a window 1e-9 wide: E[X^2] - E[X]^2 would cancel to rounding noise
+    profile = make_profile("truncated_normal", [0, 1, 0, 1e-9])
+    assert profile.variance() >= 0.0
+    assert profile.lower <= profile.mean() <= profile.upper
+    assert profile.variance() == pytest.approx(1e-18 / 12, rel=1e-6)

@@ -1,0 +1,89 @@
+"""Which scipy modules a fresh interpreter loads.
+
+scipy.special is imported on first use by truncated-normal and lognormal
+profiles; nothing imports scipy.stats, and uniform, empirical and
+explicit-statistics workflows load no scipy module at all.  Each check runs
+in its own interpreter, since this one has scipy loaded already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+import greenprov
+
+SRC = str(Path(greenprov.__file__).resolve().parents[1])
+
+REPORT = """
+import json, sys
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def scipy_modules(code: str) -> list[str]:
+    """scipy modules loaded after running code in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code) + REPORT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def write(tmp_path, text: str) -> str:
+    path = tmp_path / "scenario.yaml"
+    path.write_text(textwrap.dedent(text), encoding="utf-8")
+    return str(path)
+
+
+RATES = "rates: {c_en: 1.5, c_co2: 0.5, c_viol: 1.0}\n"
+
+
+def test_import_loads_no_scipy():
+    assert scipy_modules("import greenprov") == []
+
+
+@pytest.mark.parametrize(
+    "config,argv",
+    [
+        ("stats: {mean_demand: 40, max_demand: 80, r_agreed: 100}\n" + RATES, ["balance"]),
+        ("demand: {kind: uniform, lower: 0, upper: 80}\nstats: {r_agreed: 100}\n" + RATES,
+         ["balance"]),
+        ("stats: {mean_demand: 40, max_demand: 80, r_agreed: 100}\n" + RATES,
+         ["sweep", "--param", "c_viol=0:2:3"]),
+    ],
+    ids=["balance-explicit", "balance-uniform", "sweep-explicit"],
+)
+def test_cli_without_parametric_demand_loads_no_scipy(tmp_path, config, argv):
+    path = write(tmp_path, config)
+    args = [argv[0], path, "--output", str(tmp_path / "out"), *argv[1:]]
+    code = f"""
+        import contextlib, io
+        from greenprov.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main({args!r}) == 0
+    """
+    assert scipy_modules(code) == []
+
+
+def test_truncated_normal_loads_special_not_stats(tmp_path):
+    path = write(
+        tmp_path,
+        "demand: {kind: truncated_normal, mu: 40, sigma: 15, lower: 0, upper: 80}\n"
+        "stats: {r_agreed: 100}\n" + RATES + "policy: {kind: balance}\n"
+        "simulation: {steps: 10, replications: 1, seed: 1, energy_full: 2.0,"
+        " carbon_intensity: 0.5}\n",
+    )
+    loaded = scipy_modules(f"""
+        from greenprov.config import build_scenario, load_config
+        build_scenario(load_config({path!r}))
+    """)
+    assert "scipy.special" in loaded
+    assert not [m for m in loaded if m == "scipy.stats" or m.startswith("scipy.stats.")]
