@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -356,38 +355,3 @@ def heuristic_band(
         raise ValueError(f"x_percent must be in [0, 1), got {x_percent}")
     r = balance.r_provisioned
     return (max(0.0, r * (1.0 - x_percent)), min(stats.r_agreed, r * (1.0 + x_percent)))
-
-
-@dataclass(frozen=True)
-class SweepCell:
-    """One grid point of a sensitivity sweep; exactly one of result/error set."""
-
-    stats: DemandStats
-    rates: CostRates
-    result: BalanceResult | None
-    error: str | None
-
-
-def evaluate_balance_cell(stats: DemandStats, rates: CostRates) -> SweepCell:
-    """Closed-form balance for one cell, capturing solver errors in-row."""
-    try:
-        return SweepCell(stats, rates, balance_closed_form(stats, rates), None)
-    except (DegenerateCosts, NonzeroSatisfaction) as exc:
-        return SweepCell(stats, rates, None, str(exc))
-
-
-def sensitivity_sweep(
-    stats_grid: Sequence[DemandStats] | Iterable[DemandStats],
-    rates_grid: Sequence[CostRates] | Iterable[CostRates],
-) -> list[SweepCell]:
-    """Closed-form balance over the Cartesian product of the two grids.
-
-    Cell order is stats-major.  Per-cell solver failures are recorded in the
-    cell rather than aborting the sweep.
-    """
-    rates_list = list(rates_grid)
-    return [
-        evaluate_balance_cell(stats, rates)
-        for stats in stats_grid
-        for rates in rates_list
-    ]

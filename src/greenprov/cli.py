@@ -21,8 +21,6 @@ reproduces them byte for byte.
 from __future__ import annotations
 
 import argparse
-import csv
-import itertools
 import json
 import math
 import sys
@@ -56,7 +54,13 @@ _SWEEP_INPUTS = SWEEP_HEADER[:6]
 
 # trace.csv and sweep.csv are formatted and written this many rows at a
 # time, so the text of a table is never held whole.
-_ROW_BLOCK = 1 << 12
+_ROW_BLOCK = 1 << 10
+
+# One % format per table row. Numbers never need CSV quoting; the sweep's
+# inputs and satisfaction arrive preformatted, and its error field is left
+# empty here (unsolved rows are rewritten whole).
+_TRACE_ROW = "%d,%d,%.12g,%.12g,%d,%.12g,%.12g,%.12g\n"
+_SWEEP_ROW = "%s," * 7 + "%.12g," * 5 + "\n"
 
 
 class _UsageError(Exception):
@@ -148,20 +152,26 @@ def _fmt(value) -> str:
     return "%.12g" % (float(value) + 0.0)
 
 
-def _fmt_column(values: np.ndarray) -> list[str]:
-    """_fmt over a whole column."""
-    if values.dtype.kind == "b":
-        values = values.astype(np.uint8)
-    if values.dtype.kind in "iu":
-        return list(map(str, values.tolist()))
-    return ["%.12g" % v for v in (values + 0.0).tolist()]
+def _csv_field(text: str) -> str:
+    """A text field quoted as csv.QUOTE_MINIMAL would, and on a carriage return too."""
+    if any(c in text for c in ',"\n\r'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def _write_csv(path: Path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def _format_rows(fmt: str, columns) -> list[str]:
+    """``fmt % row`` for each row of equal-length array columns."""
+    # + 0.0 turns negative zero into plain zero before printing
+    lists = [(c + 0.0 if c.dtype.kind == "f" else c).tolist() for c in columns]
+    return list(map(fmt.__mod__, zip(*lists)))
+
+
+def _write_csv(path: Path, header, blocks):
+    """Write the header row, then each block of formatted lines."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(",".join(header) + "\n")
+        for lines in blocks:
+            handle.write("".join(lines))
 
 
 def _result_dict(result) -> dict:
@@ -214,11 +224,11 @@ def cmd_simulate(args) -> int:
             tr.replication, tr.step, tr.demand, tr.provisioned,
             tr.violation, tr.wasted, tr.wastage_cost, tr.penalty_cost,
         )
-        rows = itertools.chain.from_iterable(
-            zip(*(_fmt_column(c[start:start + _ROW_BLOCK]) for c in columns))
+        blocks = (
+            _format_rows(_TRACE_ROW, (c[start:start + _ROW_BLOCK] for c in columns))
             for start in range(0, len(tr), _ROW_BLOCK)
         )
-        _write_csv(out / "trace.csv", TRACE_HEADER, rows)
+        _write_csv(out / "trace.csv", TRACE_HEADER, blocks)
         print(f"wrote {out / 'trace.csv'}")
     return 0
 
@@ -247,7 +257,8 @@ def cmd_etm(args) -> int:
         )
     )
     out = _out_dir(args)
-    _write_csv(out / "settlement.csv", SETTLEMENT_HEADER, rows)
+    lines = [",".join((_csv_field(row[0]),) + row[1:]) + "\n" for row in rows]
+    _write_csv(out / "settlement.csv", SETTLEMENT_HEADER, [lines])
     print(",".join(SETTLEMENT_HEADER))
     for row in rows:
         print(",".join(row))
@@ -281,6 +292,8 @@ def _parse_param(text: str, seen: set[str]) -> tuple[str, np.ndarray]:
         raise ConfigError(
             f"invalid --param {text!r}: {count} points do not fit in memory"
         ) from exc
+    # over an infinite or overflowing span linspace gives NaN at the start
+    grid[0] = start
     seen.add(name)
     return name, grid
 
@@ -316,14 +329,22 @@ def cmd_sweep(args) -> int:
         "c_viol": rates.c_viol,
     }
     # Cells run in itertools.product order over the sorted names (the last
-    # name varies fastest); each grid value is formatted once.
+    # name varies fastest).
     shape = tuple(len(grids[name]) for name in names)
     total = math.prod(shape)
     if total > np.iinfo(np.intp).max:
         raise ConfigError(f"sweep grid of {total} cells is too large to index")
-    labels = {name: np.array(_fmt_column(grids[name]), dtype=object) for name in names}
-    fixed = {k: _fmt(v) for k, v in base.items()}
-    satisfaction = _fmt(rates.satisfaction)
+    # Each input value is formatted once; rows pick their labels by index
+    # (a fixed input has one label, at index 0).
+    labels = {
+        k: np.array(
+            _format_rows("%.12g", [grids[k]]) if k in grids else [_fmt(base[k])],
+            dtype=object,
+        )
+        for k in _SWEEP_INPUTS
+    }
+    labels["satisfaction"] = np.array([_fmt(rates.satisfaction)], dtype=object)
+    fixed_index = np.zeros(_ROW_BLOCK, dtype=np.intp)
     failed = 0
 
     def blocks():
@@ -338,23 +359,18 @@ def cmd_sweep(args) -> int:
             solved, results = balance_grid(
                 *(inputs[k] for k in _SWEEP_INPUTS), rates.satisfaction
             )
-            columns = [
-                labels[k][index[k]].tolist() if k in index else [fixed[k]] * n
-                for k in _SWEEP_INPUTS
-            ]
-            columns.append([satisfaction] * n)
-            columns.extend(_fmt_column(c) for c in results)
-            columns.append([""] * n)
+            texts = [labels[k][index.get(k, fixed_index[:n])] for k in labels]
+            lines = _format_rows(_SWEEP_ROW, texts + list(results))
             for i in np.flatnonzero(~solved).tolist():
                 values = {k: float(inputs[k][i]) for k in _SWEEP_INPUTS}
                 cell = _sweep_cell(values, rates.satisfaction)
-                for column, text in zip(columns[len(_SWEEP_INPUTS) + 1:], cell):
-                    column[i] = text
                 failed += cell[-1] != ""
-            yield zip(*columns)
+                cell[-1] = _csv_field(cell[-1])
+                lines[i] = ",".join([t[i] for t in texts] + cell) + "\n"
+            yield lines
 
     out = _out_dir(args)
-    _write_csv(out / "sweep.csv", SWEEP_HEADER, itertools.chain.from_iterable(blocks()))
+    _write_csv(out / "sweep.csv", SWEEP_HEADER, blocks())
     successes = total - failed
     print(f"wrote {out / 'sweep.csv'} ({successes}/{total} rows solved)")
     return 0 if successes else 2

@@ -24,10 +24,8 @@ from greenprov import (
     balance_closed_form,
     balance_grid,
     balance_numeric,
-    evaluate_balance_cell,
     expected_penalty,
     heuristic_band,
-    sensitivity_sweep,
     solve_balance,
     violation_probability_linear,
     wastage_cost,
@@ -271,43 +269,6 @@ class TestHeuristicBand:
         for bad in (-0.1, 1.0, 1.5):
             with pytest.raises(ValueError):
                 heuristic_band(result, bad, stats)
-
-
-class TestSweep:
-    def test_free_violations_everywhere(self, stats):
-        cells = sensitivity_sweep(
-            [stats], [CostRates(c, 0, 0) for c in (0.5, 1.0, 2.0)]
-        )
-        assert all(cell.result.r_provisioned == 40.0 for cell in cells)
-
-    def test_grid_cardinality_and_order(self, rates):
-        grid = [
-            DemandStats(10, 50, 100),
-            DemandStats(20, 60, 100),
-        ]
-        cells = sensitivity_sweep(grid, [rates, CostRates(1, 0, 2)])
-        assert len(cells) == 4
-        # stats-major ordering
-        assert cells[0].stats == grid[0] and cells[1].stats == grid[0]
-        assert cells[2].stats == grid[1] and cells[3].stats == grid[1]
-
-    def test_errors_recorded_per_cell(self, stats, rates):
-        cells = sensitivity_sweep([stats], [CostRates(0, 0, 0), rates])
-        assert cells[0].result is None
-        assert "zero" in cells[0].error
-        assert cells[1].error is None
-
-    def test_monotone_across_violation_price(self, stats):
-        cells = sensitivity_sweep(
-            [stats], [CostRates(1.5, 0.5, cv) for cv in np.linspace(0, 10, 11)]
-        )
-        levels = [cell.result.r_provisioned for cell in cells]
-        assert all(a <= b for a, b in zip(levels, levels[1:]))
-
-    def test_single_cell(self, stats, rates):
-        cell = evaluate_balance_cell(stats, rates)
-        assert cell.result.r_provisioned == pytest.approx(14400 / 260, rel=1e-12)
-        assert cell.error is None
 
 
 class TestSolveBalance:

@@ -15,7 +15,7 @@ import pytest
 import numpy as np
 
 from greenprov import DemandStats, CostRates, balance_closed_form, solve_balance
-from greenprov.cli import _ROW_BLOCK, _fmt, main
+from greenprov.cli import _ROW_BLOCK, _csv_field, _fmt, main
 from greenprov.config import build_scenario, load_config, scenario_from_dict
 from greenprov.demand import FAMILIES
 from greenprov.schemas import (
@@ -26,7 +26,8 @@ from greenprov.schemas import (
     SWEEP_HEADER,
     TRACE_HEADER,
 )
-from greenprov.simulate import POLICY_KINDS
+from greenprov.market import settle
+from greenprov.simulate import POLICY_KINDS, run_simulation
 
 BASE = """
 demand:
@@ -159,6 +160,39 @@ class TestBalanceCommand:
         assert main(["balance", str(tmp_path / "nope.yaml")]) == 1
 
 
+TRACE_CLAMPED_EMPIRICAL = """
+demand: {kind: empirical, values: [-0.0, 12.5, 40, 77.25, 99.9, 130, 1.0e-9]}
+stats: {r_agreed: 100, mean_demand: 47.1, max_demand: 100}
+rates: {c_en: 1.5, c_co2: 0.5, c_viol: 1.0}
+policy: {kind: balance}
+simulation: {steps: 1, replications: 1, seed: 3, energy_full: 2.0,
+             carbon_intensity: 0.5, clamp_demand_to_agreed: true}
+"""
+
+TRACE_FIXED_LEVEL = """
+demand: {kind: truncated_normal, mu: 40, sigma: 15, lower: 0, upper: 80}
+stats: {r_agreed: 100}
+rates: {c_en: 0.7, c_co2: 0.1, c_viol: 3.0}
+policy: {kind: fixed_level, level: 45.5}
+simulation: {steps: 1, replications: 2, seed: 11, energy_full: 1.0,
+             carbon_intensity: 0.25}
+"""
+
+
+def reference_trace_csv(trace) -> bytes:
+    """trace.csv from csv.writer, with _fmt on every value."""
+    handle = io.StringIO(newline="")
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(TRACE_HEADER)
+    columns = (
+        trace.replication, trace.step, trace.demand, trace.provisioned,
+        trace.violation, trace.wasted, trace.wastage_cost, trace.penalty_cost,
+    )
+    for i in range(len(trace)):
+        writer.writerow([_fmt(c[i]) for c in columns])
+    return handle.getvalue().encode("utf-8")
+
+
 class TestSimulateCommand:
     def test_report_schema_and_seed_echo(self, config, tmp_path, capsys):
         out = tmp_path / "out"
@@ -212,6 +246,21 @@ class TestSimulateCommand:
         report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert violations == report["aggregate"]["violation_count"]
 
+    @pytest.mark.parametrize("steps", [_ROW_BLOCK - 1, _ROW_BLOCK, 2 * _ROW_BLOCK + 1])
+    @pytest.mark.parametrize(
+        "text", [TRACE_CLAMPED_EMPIRICAL, TRACE_FIXED_LEVEL], ids=["clamped", "fixed"]
+    )
+    def test_trace_matches_csv_writer(self, tmp_path, text, steps):
+        path = write(tmp_path, text)
+        out = tmp_path / "out"
+        argv = ["simulate", path, "--output", str(out), "--trace", "--steps", str(steps)]
+        assert main(argv) == 0
+        report = run_simulation(
+            build_scenario(load_config(path), steps_override=steps), trace=True
+        )
+        assert report.violation_count > 0
+        assert (out / "trace.csv").read_bytes() == reference_trace_csv(report.trace)
+
     def test_unresolvable_policy_exit_two(self, tmp_path):
         path = write(
             tmp_path,
@@ -262,6 +311,46 @@ class TestEtmCommand:
 
     def test_market_section_required(self, config):
         assert main(["etm", config]) == 1
+
+    def test_quoted_names_match_csv_writer(self, tmp_path):
+        names = ["a,b", 'say "hi"', "two\nlines", "plain"]
+        accounts = "".join(
+            f"    - {{name: {json.dumps(name)}, cap_kg: 10, emissions_kg: {i}}}\n"
+            for i, name in enumerate(names)
+        )
+        path = write(tmp_path, f"market:\n  price_per_kg: 0.5\n  accounts:\n{accounts}")
+        out = tmp_path / "out"
+        assert main(["etm", path, "--output", str(out)]) == 0
+        market = load_config(path).require("market")
+        settlement = settle(list(market.accounts), market.price_per_kg)
+        handle = io.StringIO(newline="")
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(SETTLEMENT_HEADER)
+        entries = settlement.entries
+        for e in entries:
+            writer.writerow([e.name] + [_fmt(v) for v in (
+                e.cap_kg, e.emissions_kg, e.position_kg, e.cash_flow)])
+        writer.writerow(["TOTAL", _fmt(sum(e.cap_kg for e in entries)),
+                         _fmt(sum(e.emissions_kg for e in entries)),
+                         _fmt(settlement.total_position_kg),
+                         _fmt(settlement.total_cash_flow)])
+        assert (out / "settlement.csv").read_bytes() == handle.getvalue().encode("utf-8")
+
+    def test_carriage_return_in_a_name_is_quoted(self, tmp_path):
+        # csv.writer with a "\n" line terminator leaves "\r" unquoted, and
+        # csv.reader then splits the row in two
+        path = write(tmp_path, MARKET.replace("dc-west", '"cr\\rname"'))
+        out = tmp_path / "out"
+        assert main(["etm", path, "--output", str(out)]) == 0
+        rows = read_csv(out / "settlement.csv")
+        assert len(rows) == 4
+        assert rows[2][0] == "cr\rname"
+
+    @pytest.mark.parametrize("text", ["", "x", "a,b", 'q"q', '"', "n\nl", " lead"])
+    def test_field_quoting_matches_csv_writer(self, text):
+        handle = io.StringIO(newline="")
+        csv.writer(handle, lineterminator="\n").writerow([text, "x"])
+        assert _csv_field(text) + ",x\n" == handle.getvalue()
 
 
 class TestSweepCommand:
@@ -363,6 +452,7 @@ def reference_sweep_csv(base: dict, satisfaction: float, params) -> bytes:
         start, stop, count = grid.split(":")
         with np.errstate(invalid="ignore", over="ignore"):
             grids[name] = np.linspace(float(start), float(stop), int(count))
+        grids[name][0] = float(start)
     names = sorted(grids)
     handle = io.StringIO(newline="")
     writer = csv.writer(handle, lineterminator="\n")
@@ -429,11 +519,16 @@ class TestSweepMatchesPerCellLoop:
         # must not pass that on (any warning here is an error)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            self.run(tmp_path, 0.0, ["c_viol=1e300:1e308:3", "c_co2=0:inf:3"])
-            self.run(tmp_path, 0.0, ["c_viol=1e308:-1e308:3"])
+            first = self.run(tmp_path, 0.0, ["c_viol=1e300:1e308:3", "c_co2=0:inf:3"])
+            assert first.splitlines()[1].split(",")[4:6] == ["0", "1e+300"]
+            first = self.run(tmp_path, 0.0, ["c_viol=1e308:-1e308:3"])
+            assert first.splitlines()[1].split(",")[5] == "1e+308"
         assert capsys.readouterr().err == ""
 
-    @pytest.mark.parametrize("count", [_ROW_BLOCK - 1, _ROW_BLOCK, 2 * _ROW_BLOCK + 1])
+    # several blocks each: a short last block, an exact multiple, a one-row tail
+    @pytest.mark.parametrize(
+        "count", [4 * _ROW_BLOCK - 1, 4 * _ROW_BLOCK, 8 * _ROW_BLOCK + 1]
+    )
     def test_block_edges(self, tmp_path, count):
         self.run(tmp_path, 0.0, [f"mean_demand=0:100:{count}"])
 
