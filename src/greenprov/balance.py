@@ -164,7 +164,8 @@ def balance_closed_form(stats: DemandStats, rates: CostRates) -> BalanceResult:
     The level is the weighted average of mean and max demand with weights
     max*(c_en + c_co2) and r_agreed*c_viol, so it always lies between the
     two.  Only valid for a zero satisfaction term; the boundary cases
-    (one cost channel priced at zero) return the exact endpoint.
+    (one cost channel priced at zero) return the exact endpoint.  Raises
+    DegenerateCosts when both weights are zero or their sum overflows.
     """
     if rates.satisfaction != 0.0:
         raise NonzeroSatisfaction(
@@ -172,8 +173,13 @@ def balance_closed_form(stats: DemandStats, rates: CostRates) -> BalanceResult:
         )
     weight_wastage = stats.max_demand * rates.c_provision
     weight_penalty = stats.r_agreed * rates.c_viol
-    if weight_wastage + weight_penalty <= 0.0:
+    total = weight_wastage + weight_penalty
+    if total <= 0.0:
         raise DegenerateCosts("both cost channels are zero; no balance exists")
+    if not math.isfinite(total):
+        raise DegenerateCosts(
+            f"cost weights overflow: max_demand * c_provision + r_agreed * c_viol is {total}"
+        )
     if rates.c_viol == 0.0:
         r = stats.mean_demand
     elif rates.c_provision == 0.0:
@@ -182,7 +188,7 @@ def balance_closed_form(stats: DemandStats, rates: CostRates) -> BalanceResult:
         r = (
             stats.max_demand
             * (stats.mean_demand * rates.c_provision + stats.r_agreed * rates.c_viol)
-            / (weight_wastage + weight_penalty)
+            / total
         )
         # Float rounding may land an ulp outside [mean, max]; the result
         # type promises containment.
@@ -275,7 +281,7 @@ def _closed_form_grid(mean, peak, agreed, c_prov, c_viol):
     r = np.where(mean > r, mean, r)
     r = np.where(peak < r, peak, r)
     r = np.where(c_viol == 0.0, mean, np.where(c_prov == 0.0, peak, r))
-    return ~(total <= 0.0), r
+    return ~(total <= 0.0) & np.isfinite(total), r
 
 
 def _bisect_grid(mean, peak, agreed, c_prov, c_viol, surcharge):

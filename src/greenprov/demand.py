@@ -22,10 +22,10 @@ every run and platform, and two consumers that share a seed see identical
 demand paths (the basis for common-random-number policy comparisons).
 
 Truncated-normal and lognormal tail probabilities, quantiles and draws are
-exact inverse CDFs built on scipy.special's ``log_ndtr``, ``erfcx`` and
-``ndtri_exp`` in log space, so a window far out in either tail neither
-underflows nor rounds to 1; their moments are integrated about the window
-end nearest the mode, so a far-tail or narrow window keeps its variance.
+exact inverse CDFs computed in log space on ``math.erfc`` and numpy (no
+scipy), so a window far out in either tail neither underflows nor rounds
+to 1; their moments are integrated about the window end nearest the mode,
+so a far-tail or narrow window keeps its variance.
 """
 
 from __future__ import annotations
@@ -155,9 +155,10 @@ class DemandProfile:
                 return 1.0
             if r >= self.upper:
                 return 0.0
-            a, b = self._tn_shape()
+            a, b, width = self._tn_window()
             z = (r - self.mu) / self.sigma
-            return min(1.0, math.exp(_log_mass_ratio(z, b, a, b)))
+            tail = _mass(z, b, (self.upper - r) / self.sigma)
+            return min(1.0, math.exp(_log_mass_ratio(tail, _mass(a, b, width))))
         if self.kind == LOGNORMAL:
             if r <= 0.0:
                 return 1.0
@@ -165,7 +166,8 @@ class DemandProfile:
                 return 0.0
             beta = self._beta()
             z = (math.log(r) - self.mu_log) / self.sigma_log
-            return min(1.0, math.exp(_log_mass_ratio(z, beta, -math.inf, beta)))
+            tail = _mass(z, beta, beta - z)
+            return min(1.0, math.exp(_log_mass_ratio(tail, _mass(-math.inf, beta, math.inf))))
         n = len(self.values)
         return float(np.count_nonzero(self._observed > r)) / n
 
@@ -197,13 +199,15 @@ class DemandProfile:
         observed.flags.writeable = False
         return observed
 
-    def _tn_shape(self) -> tuple[float, float]:
-        return (self.lower - self.mu) / self.sigma, (self.upper - self.mu) / self.sigma
+    def _tn_window(self) -> tuple[float, float, float]:
+        """Standardized ends a, b and the width b - a, taken from the raw ends."""
+        lo, hi, mu, sigma = self.lower, self.upper, self.mu, self.sigma
+        return (lo - mu) / sigma, (hi - mu) / sigma, (hi - lo) / sigma
 
     def _tn_moments(self) -> tuple[float, float]:
         """Mean and variance of a truncated normal, from :func:`_tn_nodes`."""
-        a, b = self._tn_shape()
-        x0, y, w = _tn_nodes(a, b, (self.upper - self.lower) / self.sigma)
+        a, b, width = self._tn_window()
+        x0, y, w = _tn_nodes(a, b, width)
         anchor = self.lower if x0 == a else self.upper if x0 == b else self.mu
         total = w.sum()
         shift = float(np.dot(w, y) / total)
@@ -227,7 +231,7 @@ class DemandProfile:
         # E[D^k] = exp(k m + k^2 s^2 / 2) Phi(beta - k s) / Phi(beta)
         log_moment = k * m + 0.5 * k * k * s * s
         if self.upper is not None:
-            log_moment += _log_ndtr_ratio(beta - k * s, beta)
+            log_moment += _log_ndtr_ratio(beta - k * s, beta, k * s)
         try:
             return math.exp(log_moment)
         except OverflowError:
@@ -256,8 +260,8 @@ class DemandProfile:
             else:
                 excess = s * s
                 if self.upper is not None:
-                    excess += _log_ndtr_ratio(beta - 2 * s, beta - s)
-                    excess -= _log_ndtr_ratio(beta - s, beta)
+                    excess += _log_ndtr_ratio(beta - 2 * s, beta - s, s)
+                    excess -= _log_ndtr_ratio(beta - s, beta, s)
                 sd = self._lognorm_moment(1) * math.sqrt(math.expm1(excess))
         except OverflowError:
             sd = math.inf
@@ -273,10 +277,11 @@ class DemandProfile:
         if self.kind == UNIFORM:
             return self.lower + u * (self.upper - self.lower)
         if self.kind == TRUNCATED_NORMAL:
-            z = _tn_ppf(*self._tn_shape(), u)
+            z = _tn_ppf(*self._tn_window(), u)
             return np.clip(self.mu + self.sigma * z, self.lower, self.upper)
         if self.kind == LOGNORMAL:
-            d = np.exp(self.mu_log + self.sigma_log * _tn_ppf(-math.inf, self._beta(), u))
+            z = _tn_ppf(-math.inf, self._beta(), math.inf, u)
+            d = np.exp(self.mu_log + self.sigma_log * z)
             return d if self.upper is None else np.minimum(d, self.upper)
         vals = self._observed
         idx = np.minimum((u * len(vals)).astype(np.int64), len(vals) - 1)
@@ -288,24 +293,92 @@ class DemandProfile:
 # Truncated normal demand is mu + sigma * Z and lognormal demand
 # exp(mu_log + sigma_log * Z), with Z ~ N(0, 1) restricted to a window (a
 # lognormal's window is (-inf, beta]).  The helpers below work on Z with
-# scipy.special, which make_profile loads for these two families only:
-# uniform and empirical profiles, and configs with explicit statistics,
-# never load scipy.
+# math.erfc and numpy alone: _erfcx and _log_ndtr on scalars, _ndtri_exp on
+# arrays.
+
+_SQRT_PI = math.sqrt(math.pi)
+_DEKKER = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10  # sum: log 2
+
+# Wichura, "Algorithm AS 241: The percentage points of the normal
+# distribution", Applied Statistics 37 (1988): PPND16's numerator and
+# denominator coefficients, lowest order first, for |p - 1/2| <= 0.425,
+# for r = sqrt(-log p) <= 5, and for 5 < r <= 27.
+_AS241_CENTRAL = (
+    (3.3871328727963666080e0, 1.3314166789178437745e+2, 1.9715909503065514427e+3,
+     1.3731693765509461125e+4, 4.5921953931549871457e+4, 6.7265770927008700853e+4,
+     3.3430575583588128105e+4, 2.5090809287301226727e+3),
+    (1.0, 4.2313330701600911252e+1, 6.8718700749205790830e+2, 5.3941960214247511077e+3,
+     2.1213794301586595867e+4, 3.9307895800092710610e+4, 2.8729085735721942674e+4,
+     5.2264952788528545610e+3),
+)
+_AS241_NEAR = (
+    (1.42343711074968357734e0, 4.63033784615654529590e0, 5.76949722146069140550e0,
+     3.64784832476320460504e0, 1.27045825245236838258e0, 2.41780725177450611770e-1,
+     2.27238449892691845833e-2, 7.74545014278341407640e-4),
+    (1.0, 2.05319162663775882187e0, 1.67638483018380384940e0, 6.89767334985100004550e-1,
+     1.48103976427480074590e-1, 1.51986665636164571966e-2, 5.47593808499534494600e-4,
+     1.05075007164441684324e-9),
+)
+_AS241_FAR = (
+    (6.65790464350110377720e0, 5.46378491116411436990e0, 1.78482653991729133580e0,
+     2.96560571828504891230e-1, 2.65321895265761230930e-2, 1.24266094738807843860e-3,
+     2.71155556874348757815e-5, 2.01033439929228813265e-7),
+    (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1, 1.48753612908506148525e-2,
+     7.86869131145613259100e-4, 1.84631831751005468180e-5, 1.42151175831644588870e-7,
+     2.04426310338993978564e-15),
+)
+_LOG_CENTRAL = math.log(0.075)  # p - 1/2 >= -0.425
+_LOG_ASYMPTOTIC = -680.0  # about 37 sigma, near the end of AS241's range
+
+
+def _asymptotic(x):
+    """x * sqrt(pi) * erfcx(x), by its asymptotic series through the
+    1/x**12 term: within 2e-17 for x >= 26.  Takes floats or arrays."""
+    u = 0.5 / (x * x)
+    s = 1.0
+    for k in (11.0, 9.0, 7.0, 5.0, 3.0, 1.0):
+        s = 1.0 - k * u * s
+    return s
+
+
+def _erfcx(x: float) -> float:
+    """exp(x*x) * erfc(x) for x >= 0.
+
+    Below 26, x*x is split exactly into hi + lo (Dekker), so exp(x*x) is
+    exp(hi) * (1 + lo) and does not carry the rounding of x*x, which near
+    26 would cost a few hundred ulps; erfc(26) is still a normal double.
+    """
+    if x >= 26.0:
+        return _asymptotic(x) / (x * _SQRT_PI)
+    hi = x * x
+    c = _DEKKER * x
+    head = c - (c - x)
+    tail = x - head
+    lo = ((head * head - hi) + 2.0 * head * tail) + tail * tail
+    return math.exp(hi) * (1.0 + lo) * math.erfc(x)
 
 
 def _log_ndtr(x: float) -> float:
-    from scipy.special import log_ndtr
+    """log Phi(x)."""
+    if x > 0.0:
+        return math.log1p(-0.5 * math.erfc(x * _SQRT_HALF))
+    if x > -5.0:
+        return math.log(0.5 * math.erfc(-x * _SQRT_HALF))
+    if x == -math.inf:
+        return -math.inf
+    return -0.5 * x * x + math.log(0.5 * _erfcx(-x * _SQRT_HALF))
 
-    return float(log_ndtr(x))
 
-
-def _log_ndtr_ratio(x: float, y: float) -> float:
+def _log_ndtr_ratio(x: float, y: float, width: float) -> float:
     """log(Phi(x) / Phi(y)), as exact at x = -40 as at x = -4.
 
-    Below 0, log Phi(t) = -t*t/2 + log(erfcx(-t/sqrt 2) / 2): the quadratic
-    parts are differenced as one product and the erfcx parts are of order
-    log|t|, so the ratio keeps its precision however deep or close x and y
-    are (a difference of two log_ndtr values loses |t|**2 ulps).
+    ``width`` is y - x, which a caller may know more exactly than the
+    difference of the rounded x and y.  Below 0, log Phi(t) = -t*t/2 +
+    log(erfcx(-t/sqrt 2) / 2): the quadratic parts are differenced as one
+    product and the erfcx parts are of order log|t|, so the ratio keeps its
+    precision however deep or close x and y are (a difference of two
+    _log_ndtr values loses |t|**2 ulps).
     """
     if x == y:
         return 0.0
@@ -313,46 +386,85 @@ def _log_ndtr_ratio(x: float, y: float) -> float:
         return _log_ndtr(x) - _log_ndtr(y)
     if x == -math.inf:
         return -math.inf
-    from scipy.special import erfcx
-
-    return 0.5 * (y - x) * (y + x) + math.log(erfcx(-x * _SQRT_HALF) / erfcx(-y * _SQRT_HALF))
+    return 0.5 * width * (y + x) + math.log(_erfcx(-x * _SQRT_HALF) / _erfcx(-y * _SQRT_HALF))
 
 
-def _mass(a: float, b: float) -> tuple[float, float]:
+def _mass(a: float, b: float, width: float) -> tuple[float, float]:
     """Phi(b) - Phi(a) for a < b, as (t, r) with mass = Phi(t) * exp(r), t <= 0.
 
-    A window in the upper half is mirrored into the lower one, where Phi
-    neither rounds to 1 nor needs 1 - Phi; there t is its end nearest 0.
-    A window that straddles 0, or lies within 1 of it, has t = 0 and is a
-    difference of erf values, which for a straddling window are of
-    opposite sign, so a narrow window keeps its relative precision.
+    ``width`` is b - a (see :func:`_log_ndtr_ratio`).  A window in the
+    upper half is mirrored into the lower one, where Phi neither rounds to
+    1 nor needs 1 - Phi; there t is its end nearest 0.  A window that
+    straddles 0, or lies within 1 of it, has t = 0 and is a difference of
+    erf values, which for a straddling window are of opposite sign, so a
+    narrow window keeps its relative precision.
     """
     if a + b > 0.0:
         a, b = -b, -a
     if b <= 0.0 and a < -1.0:
-        return b, math.log(-math.expm1(_log_ndtr_ratio(a, b)))
+        return b, math.log(-math.expm1(_log_ndtr_ratio(a, b, width)))
     return 0.0, math.log(math.erf(b * _SQRT_HALF) - math.erf(a * _SQRT_HALF))
 
 
-def _log_mass_ratio(a1: float, b1: float, a2: float, b2: float) -> float:
-    """log of the mass of [a1, b1] over the mass of [a2, b2]."""
-    (t1, r1), (t2, r2) = _mass(a1, b1), _mass(a2, b2)
-    return _log_ndtr_ratio(t1, t2) + r1 - r2
+def _log_mass_ratio(m1: tuple[float, float], m2: tuple[float, float]) -> float:
+    """log of the mass m1 over the mass m2, both (t, r) pairs from :func:`_mass`."""
+    (t1, r1), (t2, r2) = m1, m2
+    return _log_ndtr_ratio(t1, t2, t2 - t1) + r1 - r2
+
+
+def _rational(coefficients, r: np.ndarray) -> np.ndarray:
+    """numerator(r) / denominator(r) by Horner's rule, in place."""
+    num, den = coefficients
+    p, q = np.full_like(r, num[-1]), np.full_like(r, den[-1])
+    for a, b in zip(num[-2::-1], den[-2::-1]):
+        p *= r
+        p += a
+        q *= r
+        q += b
+    p /= q
+    return p
+
+
+def _ndtri_exp(y: np.ndarray) -> np.ndarray:
+    """Phi^-1(exp(y)) for y <= log(1/2), elementwise.
+
+    AS241 in log form: the central fit takes p - 1/2 = expm1(y + log 2) / 2
+    and the tail fits r = sqrt(-y), so exp(y) is never formed in a tail.
+    Below y = -680, beyond the tail fits, x = -z / sqrt 2 solves -x*x +
+    log(_asymptotic(x) / (2 x sqrt pi)) = y: three Newton steps from its
+    leading-order root, each squaring the relative error of about 1e-5.
+    """
+    z = np.full_like(y, -np.inf)  # the quantile of y = -inf
+    mid = y >= _LOG_CENTRAL
+    tail = (y >= _LOG_ASYMPTOTIC) & ~mid
+    far = (y < _LOG_ASYMPTOTIC) & (y > -np.inf)
+    q = 0.5 * np.expm1((y[mid] + _LN2_HI) + _LN2_LO)
+    z[mid] = q * _rational(_AS241_CENTRAL, 0.180625 - q * q)
+    r = np.sqrt(-y[tail])
+    near = _rational(_AS241_NEAR, r - 1.6)
+    z[tail] = -np.where(r <= 5.0, near, _rational(_AS241_FAR, r - 5.0))
+    if not far.any():
+        return z
+    v = -y[far]
+    x = np.sqrt(v - 0.5 * (np.log(v) + math.log(4.0 * math.pi)))
+    for _ in range(3):
+        s = _asymptotic(x)
+        x += (v - x * x + np.log(s / (2.0 * _SQRT_PI * x))) * s / (2.0 * x)
+    z[far] = -x / _SQRT_HALF
+    return z
 
 
 def _lower_ppf(a: float, mass: tuple[float, float], v: np.ndarray) -> np.ndarray:
     """ndtri(Phi(a) + v * mass), with Phi(a) <= Phi(t) (t, r = mass), in log space."""
-    from scipy.special import ndtri_exp
-
     t, r = mass
     with np.errstate(divide="ignore"):  # v == 0 with Phi(a) == 0 gives -inf
-        return ndtri_exp(
-            _log_ndtr(t) + np.log(math.exp(_log_ndtr_ratio(a, t)) + v * math.exp(r))
+        return _ndtri_exp(
+            _log_ndtr(t) + np.log(math.exp(_log_ndtr_ratio(a, t, t - a)) + v * math.exp(r))
         )
 
 
-def _tn_ppf(a: float, b: float, u: np.ndarray) -> np.ndarray:
-    """Inverse CDF of Z on [a, b] at u in [0, 1].
+def _tn_ppf(a: float, b: float, width: float, u: np.ndarray) -> np.ndarray:
+    """Inverse CDF of Z on [a, b], of width b - a, at u in [0, 1].
 
     A draw that lands below 0 inverts the lower-tail probability
     Phi(a) + u * Z_ab; one above 0 inverts the upper-tail probability
@@ -360,12 +472,12 @@ def _tn_ppf(a: float, b: float, u: np.ndarray) -> np.ndarray:
     in log space (Botev 2017 keeps far-tail sampling stable the same way),
     so neither rounds next to 1 nor underflows deep in a tail.
     """
-    mass = _mass(a, b)
+    mass = _mass(a, b, width)
     if a >= 0.0:
         return -_lower_ppf(-b, mass, 1.0 - u)
     if b <= 0.0:
         return _lower_ppf(a, mass, u)
-    low = u <= math.exp(_log_mass_ratio(a, 0.0, a, b))
+    low = u <= math.exp(_log_mass_ratio(_mass(a, 0.0, -a), mass))
     z = np.empty_like(u, dtype=np.float64)
     z[low] = _lower_ppf(a, mass, u[low])
     high = ~low
@@ -424,10 +536,6 @@ def make_profile(kind: str, params: Sequence[float], resource_unit: str = "") ->
     Raises InvalidDistribution when a family constraint is violated.
     """
     params = [float(p) for p in params]
-    if kind in (TRUNCATED_NORMAL, LOGNORMAL):
-        # their tails, quantiles and draws need scipy.special: load it when
-        # the profile is built, not on its first draw
-        import scipy.special  # noqa: F401
 
     if kind == UNIFORM:
         if len(params) != 2:

@@ -32,7 +32,8 @@ class DomainError(ValueError):
 
 
 class DegenerateCosts(ValueError):
-    """Both cost channels are zero; the balance equation has no information."""
+    """Both cost channels are zero, so the balance equation has no
+    information, or their weights overflow a float."""
 
 
 class NonzeroSatisfaction(ValueError):

@@ -1,6 +1,25 @@
 """Shared test set-up."""
 
+import shutil
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
+
+_HYPOTHESIS_HOME = pytest.StashKey[Path]()
+
+
+def pytest_configure(config):
+    # hypothesis caches the constants it finds in the source under
+    # ./.hypothesis while tests are collected; give it a temporary home
+    home = Path(tempfile.mkdtemp(prefix="hypothesis-"))
+    config.stash[_HYPOTHESIS_HOME] = home
+    set_hypothesis_home_dir(home)
+
+
+def pytest_unconfigure(config):
+    shutil.rmtree(config.stash[_HYPOTHESIS_HOME], ignore_errors=True)
 
 
 @pytest.fixture(autouse=True)

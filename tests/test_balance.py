@@ -162,6 +162,13 @@ class TestClosedForm:
         with pytest.raises(DegenerateCosts):
             balance_closed_form(stats, CostRates(0, 0, 0))
 
+    def test_overflowing_weights_raise(self, stats):
+        # r_agreed * c_viol, or c_en + c_co2, overflows to inf: the level
+        # would be inf / inf, a NaN
+        for rates in (CostRates(0.5, 0, 1e308), CostRates(1e308, 1e308, 0)):
+            with pytest.raises(DegenerateCosts, match="overflow"):
+                solve_balance(stats, rates)
+
     def test_nonzero_satisfaction_refused(self, stats):
         with pytest.raises(NonzeroSatisfaction):
             balance_closed_form(stats, CostRates(1, 0, 1, satisfaction=0.5))
@@ -326,6 +333,11 @@ class TestBalanceGrid:
         assert columns[0][1] == balance_closed_form(stats, rates).r_provisioned
         no_root, columns = balance_grid(79.9, 80.0, 100.0, 1.5, 0.5, 1.0, 5.0)
         assert not no_root and np.isnan(columns[0])
+
+    def test_overflowing_weights_are_unsolved(self):
+        solved, columns = balance_grid(40.0, 80.0, 100.0, 0.5, 0.0, [1e300, 1e308], 0.0)
+        assert solved.tolist() == [True, False]
+        assert columns[0][0] == 80.0 and np.isnan(columns[0][1])
 
     def test_two_dimensional_bisection(self):
         means = np.array([[40.0, 90.0], [20.0, 60.0]])

@@ -525,6 +525,13 @@ class TestSweepMatchesPerCellLoop:
             assert first.splitlines()[1].split(",")[5] == "1e+308"
         assert capsys.readouterr().err == ""
 
+    def test_overflowing_weights_are_error_rows(self, tmp_path):
+        text = self.run(tmp_path, 0.0, ["c_viol=1e300:1e308:3"])
+        errors = [row[-1] for row in list(csv.reader(io.StringIO(text)))[1:]]
+        assert errors[0] == ""
+        assert all(error.startswith("cost weights overflow") for error in errors[1:])
+        assert "nan" not in text
+
     # several blocks each: a short last block, an exact multiple, a one-row tail
     @pytest.mark.parametrize(
         "count", [4 * _ROW_BLOCK - 1, 4 * _ROW_BLOCK, 8 * _ROW_BLOCK + 1]

@@ -11,7 +11,6 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
 
 from greenprov import (
     DemandProfile,
@@ -28,7 +27,7 @@ from greenprov.demand import (
 
 
 def phi(z):
-    # standard normal CDF, independently of scipy.stats
+    # standard normal CDF, independently of the implementation
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
 
@@ -111,8 +110,8 @@ class TestMoments:
         def density(x):
             return norm_pdf((x - mu) / sigma) / (sigma * z)
 
-        m1, _ = integrate.quad(lambda x: x * density(x), lo, hi)
-        m2, _ = integrate.quad(lambda x: x * x * density(x), lo, hi)
+        m1 = float(mpmath.quad(lambda x: x * density(x), [lo, hi]))
+        m2 = float(mpmath.quad(lambda x: x * x * density(x), [lo, hi]))
         assert profile.mean() == pytest.approx(m1, rel=1e-9)
         assert profile.variance() == pytest.approx(m2 - m1 * m1, rel=1e-7)
 
@@ -130,8 +129,8 @@ class TestMoments:
         def density(x):
             return norm_pdf((math.log(x) - mu_log) / sigma_log) / (x * sigma_log * z)
 
-        m1, _ = integrate.quad(lambda x: x * density(x), 1e-12, upper)
-        m2, _ = integrate.quad(lambda x: x * x * density(x), 1e-12, upper)
+        m1 = float(mpmath.quad(lambda x: x * density(x), [1e-12, upper]))
+        m2 = float(mpmath.quad(lambda x: x * x * density(x), [1e-12, upper]))
         assert profile.mean() == pytest.approx(m1, rel=1e-9)
         assert profile.variance() == pytest.approx(m2 - m1 * m1, rel=1e-7)
 
@@ -372,6 +371,7 @@ def check_against(profile, mean, var, tail, ppf, points):
         (0, 1, 8, 9),
         (0, 1, 40, 41),  # Phi(-40) is below the smallest double
         (100, 1, 59, 60),  # the same window in the lower tail
+        (-44.06, 2.096, 25.9336, 25.9356),  # 1e-3 sigma wide, 33 sigma out
     ],
 )
 def test_truncated_normal_matches_mpmath(mu, sigma, lower, upper):
@@ -428,6 +428,22 @@ def test_lognormal_matches_mpmath(mu_log, sigma_log, beta):
         hi = profile.quantile(0.999) if upper is None else upper
         points = [hi * f for f in (0.2, 0.5, 0.8, 0.95)]
         check_against(profile, m1, moment(2) - m1 * m1, tail, ppf, points)
+
+
+def test_far_narrow_window_quantiles():
+    # 621 sigma below the mean: mu + sigma * z cancels 87 down to about 6e-4,
+    # which costs the quantiles about 6e-11 of their relative precision
+    mu, sigma, lower, upper = 87.0, 0.14, 0.0, 0.0012
+    profile = make_profile("truncated_normal", [mu, sigma, lower, upper])
+    with mpmath.workdps(100):
+        a = (mpmath.mpf(lower) - mu) / sigma
+        b = (mpmath.mpf(upper) - mu) / sigma
+        mass = mp_mass(a, b)
+        for q in UNIFORMS:
+            got = profile.quantile(q)
+            z = mpmath.findroot(lambda t: mp_mass(a, t) / mass - q, (got - mu) / sigma)
+            want = mu + sigma * z
+            assert abs(got - want) <= 1e-9 * want, q
 
 
 def test_narrow_window_moments_stay_in_range():

@@ -1,9 +1,11 @@
-"""Which scipy modules a fresh interpreter loads.
+"""No workflow loads a scipy module.
 
-scipy.special is imported on first use by truncated-normal and lognormal
-profiles; nothing imports scipy.stats, and uniform, empirical and
-explicit-statistics workflows load no scipy module at all.  Each check runs
-in its own interpreter, since this one has scipy loaded already.
+greenprov depends on numpy and PyYAML only: importing it, building and
+sampling the truncated-normal and lognormal families, and the CLI's
+``balance``, ``sweep`` and truncated-normal ``simulate --trace`` leave no
+``scipy*`` module in sys.modules.
+Each check runs in its own interpreter, since this one may have scipy
+loaded by another test dependency.
 """
 
 import json
@@ -73,7 +75,23 @@ def test_cli_without_parametric_demand_loads_no_scipy(tmp_path, config, argv):
     assert scipy_modules(code) == []
 
 
-def test_truncated_normal_loads_special_not_stats(tmp_path):
+@pytest.mark.parametrize(
+    "kind,params",
+    [("truncated_normal", [40, 15, 0, 80]), ("lognormal", [3.0, 0.5, 60.0])],
+)
+def test_parametric_profiles_load_no_scipy(kind, params):
+    loaded = scipy_modules(f"""
+        import numpy as np
+        from greenprov import make_profile
+        profile = make_profile({kind!r}, {params!r})
+        profile.sample_many(np.random.default_rng(1), 1000)
+        profile.mean(), profile.variance(), profile.quantile(0.99)
+        profile.tail_probability(30.0)
+    """)
+    assert loaded == []
+
+
+def test_simulate_trace_loads_no_scipy(tmp_path):
     path = write(
         tmp_path,
         "demand: {kind: truncated_normal, mu: 40, sigma: 15, lower: 0, upper: 80}\n"
@@ -81,9 +99,11 @@ def test_truncated_normal_loads_special_not_stats(tmp_path):
         "simulation: {steps: 10, replications: 1, seed: 1, energy_full: 2.0,"
         " carbon_intensity: 0.5}\n",
     )
+    args = ["simulate", path, "--output", str(tmp_path / "out"), "--trace"]
     loaded = scipy_modules(f"""
-        from greenprov.config import build_scenario, load_config
-        build_scenario(load_config({path!r}))
+        import contextlib, io
+        from greenprov.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main({args!r}) == 0
     """)
-    assert "scipy.special" in loaded
-    assert not [m for m in loaded if m == "scipy.stats" or m.startswith("scipy.stats.")]
+    assert loaded == []
