@@ -21,12 +21,9 @@ from .balance import (
     balance_closed_form,
     balance_grid,
     balance_numeric,
-    expected_penalty,
     heuristic_band,
     solve_balance,
     violation_probability_linear,
-    wastage_cost,
-    wastage_fraction,
 )
 from .config import (
     ParsedConfig,
@@ -50,7 +47,6 @@ from .demand import (
 from .errors import (
     ConfigError,
     DegenerateCosts,
-    DomainError,
     InvalidDistribution,
     InvalidRates,
     InvalidScenario,
@@ -95,7 +91,6 @@ __all__ = [
     "DegenerateCosts",
     "DemandProfile",
     "DemandStats",
-    "DomainError",
     "EMPIRICAL",
     "GridSearchResult",
     "InvalidDistribution",
@@ -130,7 +125,6 @@ __all__ = [
     "derive_co2_rate",
     "emissions_from_report",
     "empirical_optimum",
-    "expected_penalty",
     "heuristic_band",
     "load_config",
     "make_profile",
@@ -142,6 +136,4 @@ __all__ = [
     "solve_balance",
     "settle",
     "violation_probability_linear",
-    "wastage_cost",
-    "wastage_fraction",
 ]

@@ -11,7 +11,9 @@ point, not a cost minimum.
 
 Two independent routes compute it: an algebraic closed form and a bisection
 solver on the cost-difference function, which also covers a nonzero
-customer-satisfaction surcharge.
+customer-satisfaction surcharge.  Each is written once, elementwise over
+float64 arrays: ``balance_grid`` runs it on whole columns, and the scalar
+solvers on the values of one cell.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import numpy as np
 
 from .errors import (
     DegenerateCosts,
-    DomainError,
     InvalidRates,
     InvalidStats,
     NonzeroSatisfaction,
@@ -107,57 +108,93 @@ class BalanceResult:
     expected_penalty: float
 
 
-def wastage_fraction(r_provisioned: float, stats: DemandStats) -> float:
-    """Fraction of the agreed amount provisioned beyond mean demand.
+@np.errstate(all="ignore")
+def violation_probability_linear(r, max_demand):
+    """Linear violation probability: 1 at zero provisioning, falling to 0 at
+    max_demand and staying 0 above it.
 
-    Negative when provisioning below the mean; callers decide policy for
-    that regime (balance solvers never produce it).
+    Degenerate max_demand <= 0 means demand is a.s. zero, so nothing is
+    violated and the probability is 0.  Takes floats or broadcastable
+    float64 arrays.
     """
-    return (r_provisioned - stats.mean_demand) / stats.r_agreed
+    q = 1.0 - np.divide(r, max_demand)
+    return np.where((max_demand > 0.0) & (q > 0.0), q, 0.0)[()]
 
 
-def wastage_cost(r_provisioned: float, stats: DemandStats, rates: CostRates) -> float:
-    """Per-time-unit cost of the energy and CO2e spent above mean demand."""
-    return wastage_fraction(r_provisioned, stats) * rates.c_provision
+# The solver arithmetic below runs elementwise on float64 arrays or
+# scalars, with floating-point errors ignored by the caller: balance_grid
+# passes whole columns, the scalar solvers one cell's float64 values.
 
 
-def violation_probability_linear(r_provisioned: float, stats: DemandStats) -> float:
-    """Linear violation probability: 1 at zero provisioning, 0 at max demand."""
-    if stats.max_demand <= 0.0:
-        raise DomainError("violation probability needs max_demand > 0")
-    if r_provisioned < 0.0 or r_provisioned > stats.max_demand:
-        raise DomainError(
-            f"r_provisioned must lie in [0, {stats.max_demand}], got {r_provisioned}; "
-            "clamp before calling"
-        )
-    return 1.0 - r_provisioned / stats.max_demand
+def _columns(r, mean, peak, agreed, c_prov, c_viol):
+    """The BalanceResult fields at level ``r``, in declaration order."""
+    w = (r - mean) / agreed
+    p = violation_probability_linear(r, peak)
+    return r, w, w * c_prov, p, p * c_viol
 
 
-def expected_penalty(p_viol: float, rates: CostRates) -> float:
-    """Expected per-time-unit penalty: violation probability times unit price."""
-    return p_viol * rates.c_viol
+def _closed_form(mean, peak, agreed, c_prov, c_viol):
+    """Total cost weight and the closed-form level; the level stands only
+    where the total is positive and finite."""
+    total = peak * c_prov + agreed * c_viol
+    r = peak * (mean * c_prov + agreed * c_viol) / total
+    # Float rounding may land an ulp outside [mean, max]; the result type
+    # promises containment.  Unlike np.maximum and np.minimum, these keep r
+    # on ties (of signed zeros) and where a comparison meets NaN.
+    r = np.where(mean > r, mean, r)
+    r = np.where(peak < r, peak, r)
+    return total, np.where(c_viol == 0.0, mean, np.where(c_prov == 0.0, peak, r))
 
 
-def _proba_at(r: float, stats: DemandStats) -> float:
-    # Degenerate max == 0 means demand is a.s. zero: provisioning at the
-    # maximum, so no violations.
-    if stats.max_demand <= 0.0:
-        return 0.0
-    return max(0.0, 1.0 - r / stats.max_demand)
+def _tolerance(c_prov, c_viol, surcharge):
+    """Largest cost gap the bisection may leave at its root."""
+    return 1e-9 * (c_prov + c_viol + surcharge)
 
 
-def _result_at(r: float, stats: DemandStats, rates: CostRates) -> BalanceResult:
-    w = wastage_fraction(r, stats)
-    p = _proba_at(r, stats)
-    return BalanceResult(
-        r_provisioned=r,
-        w=w,
-        c_wastage=w * rates.c_provision,
-        p_viol=p,
-        expected_penalty=expected_penalty(p, rates),
+def _bisect(mean, peak, agreed, c_prov, c_viol, surcharge):
+    """Endpoint gaps, residual gap and root of the bisection on [mean, peak].
+
+    The gap is wastage cost minus expected penalty minus surcharge.  A cell
+    has no root where gap_lo > 0 or gap_hi < 0, and its residual and root
+    mean nothing.  An endpoint with a zero gap is the root, with residual 0;
+    the other cells are bisected together, and their residual is the gap
+    left at the root.
+    """
+
+    def gap(r):
+        wastage = (r - mean) / agreed * c_prov
+        return wastage - violation_probability_linear(r, peak) * c_viol - surcharge
+
+    gap_lo, gap_hi = gap(mean), gap(peak)
+    rooted = ~(gap_lo > 0.0) & ~(gap_hi < 0.0)
+    if not rooted.any():
+        return gap_lo, gap_hi, 0.0, mean
+    bisected = active = rooted & (gap_lo != 0.0) & (gap_hi != 0.0)
+    lo, hi = mean, peak
+    width_target = _BISECT_REL_WIDTH * peak
+    for _ in range(_BISECT_MAX_ITER):
+        active = active & ~(hi - lo <= width_target)
+        if not active.any():
+            break
+        mid = 0.5 * (lo + hi)
+        up = gap(mid) >= 0.0
+        hi = np.where(active & up, mid, hi)
+        lo = np.where(active & ~up, mid, lo)
+    root = np.where(bisected, 0.5 * (lo + hi), np.where(gap_lo == 0.0, mean, peak))
+    return gap_lo, gap_hi, gap(root), root
+
+
+def _float64(stats: DemandStats, rates: CostRates):
+    # One cell's inputs as float64 scalars, which divide by zero and
+    # overflow as the array columns do instead of raising.
+    return map(
+        np.float64,
+        (stats.mean_demand, stats.max_demand, stats.r_agreed,
+         rates.c_provision, rates.c_viol, rates.satisfaction),
     )
 
 
+@np.errstate(all="ignore")
 def balance_closed_form(stats: DemandStats, rates: CostRates) -> BalanceResult:
     """Algebraic equilibrium of wastage cost against expected penalty.
 
@@ -171,83 +208,48 @@ def balance_closed_form(stats: DemandStats, rates: CostRates) -> BalanceResult:
         raise NonzeroSatisfaction(
             "closed form requires satisfaction == 0; use balance_numeric"
         )
-    weight_wastage = stats.max_demand * rates.c_provision
-    weight_penalty = stats.r_agreed * rates.c_viol
-    total = weight_wastage + weight_penalty
+    mean, peak, agreed, c_prov, c_viol, _ = _float64(stats, rates)
+    total, r = _closed_form(mean, peak, agreed, c_prov, c_viol)
     if total <= 0.0:
         raise DegenerateCosts("both cost channels are zero; no balance exists")
-    if not math.isfinite(total):
+    if not np.isfinite(total):
         raise DegenerateCosts(
-            f"cost weights overflow: max_demand * c_provision + r_agreed * c_viol is {total}"
+            "cost weights overflow: max_demand * c_provision + r_agreed * c_viol "
+            f"is {float(total)}"
         )
-    if rates.c_viol == 0.0:
-        r = stats.mean_demand
-    elif rates.c_provision == 0.0:
-        r = stats.max_demand
-    else:
-        r = (
-            stats.max_demand
-            * (stats.mean_demand * rates.c_provision + stats.r_agreed * rates.c_viol)
-            / total
-        )
-        # Float rounding may land an ulp outside [mean, max]; the result
-        # type promises containment.
-        r = min(max(r, stats.mean_demand), stats.max_demand)
-    return _result_at(r, stats, rates)
+    return BalanceResult(*map(float, _columns(r, mean, peak, agreed, c_prov, c_viol)))
 
 
-def balance_numeric(
-    stats: DemandStats, rates: CostRates, tolerance: float | None = None
-) -> BalanceResult:
+@np.errstate(all="ignore")
+def balance_numeric(stats: DemandStats, rates: CostRates) -> BalanceResult:
     """Bisection on the cost difference, generalizing to satisfaction >= 0.
 
     Searches [mean_demand, max_demand]: wastage is zero at the lower end and
     the violation probability is zero at the upper end, so any crossing of
 
-        wastage_cost(r) - expected_penalty(r) - satisfaction
+        wastage cost(r) - expected penalty(r) - satisfaction
 
-    lies inside.  ``tolerance`` bounds the residual cost gap at the returned
-    level; the default scales with the given prices.  Raises NoRootInRange
+    lies inside.  The residual cost gap at the returned level is at most
+    1e-9 * (c_en + c_co2 + c_viol + satisfaction).  Raises NoRootInRange
     when the surcharge exceeds the wastage cost even at max demand.
     """
-    if tolerance is not None and tolerance <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
-    c_prov, c_viol, surcharge = rates.c_provision, rates.c_viol, rates.satisfaction
-    if c_prov == 0.0 and c_viol == 0.0:
+    if rates.c_provision == 0.0 and rates.c_viol == 0.0:
         raise DegenerateCosts("both cost channels are zero; no balance exists")
-    if tolerance is None:
-        tolerance = 1e-9 * (c_prov + c_viol + surcharge)
-
-    def gap(r: float) -> float:
-        return wastage_cost(r, stats, rates) - _proba_at(r, stats) * c_viol - surcharge
-
-    lo, hi = stats.mean_demand, stats.max_demand
-    gap_lo, gap_hi = gap(lo), gap(hi)
+    mean, peak, agreed, c_prov, c_viol, surcharge = _float64(stats, rates)
+    gap_lo, gap_hi, residual, r = _bisect(mean, peak, agreed, c_prov, c_viol, surcharge)
     if gap_lo > 0.0 or gap_hi < 0.0:
         raise NoRootInRange(
-            f"cost difference does not cross zero on [{lo}, {hi}] "
-            f"(endpoints {gap_lo:.6g}, {gap_hi:.6g})"
+            "cost difference does not cross zero on "
+            f"[{stats.mean_demand}, {stats.max_demand}] "
+            f"(endpoints {float(gap_lo):.6g}, {float(gap_hi):.6g})"
         )
-    if gap_lo == 0.0:
-        return _result_at(lo, stats, rates)
-    if gap_hi == 0.0:
-        return _result_at(hi, stats, rates)
-
-    width_target = _BISECT_REL_WIDTH * stats.max_demand
-    for _ in range(_BISECT_MAX_ITER):
-        if hi - lo <= width_target:
-            break
-        mid = 0.5 * (lo + hi)
-        if gap(mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    root = 0.5 * (lo + hi)
-    if abs(gap(root)) > tolerance:
+    tolerance = _tolerance(c_prov, c_viol, surcharge)
+    if abs(residual) > tolerance:
         raise ArithmeticError(
-            f"bisection residual {gap(root):.3g} exceeds tolerance {tolerance:.3g}"
+            f"bisection residual {float(residual):.3g} exceeds tolerance "
+            f"{float(tolerance):.3g}"
         )
-    return _result_at(root, stats, rates)
+    return BalanceResult(*map(float, _columns(r, mean, peak, agreed, c_prov, c_viol)))
 
 
 def solve_balance(stats: DemandStats, rates: CostRates) -> BalanceResult:
@@ -257,70 +259,17 @@ def solve_balance(stats: DemandStats, rates: CostRates) -> BalanceResult:
     return balance_numeric(stats, rates)
 
 
-# Array forms of the scalar solvers for balance_grid.  Each repeats the
-# scalar float operations in the same order, and np.where(b > a, b, a)
-# stands for Python's max(a, b) (and likewise for min), which keeps
-# ``a`` on ties and on NaN, so every solved cell is bit-identical.
-
-
-def _proba_grid(r, peak):
-    q = 1.0 - r / peak
-    return np.where((peak > 0.0) & (q > 0.0), q, 0.0)
-
-
-def _gap_grid(r, mean, peak, agreed, c_prov, c_viol, surcharge):
-    return (r - mean) / agreed * c_prov - _proba_grid(r, peak) * c_viol - surcharge
-
-
-def _closed_form_grid(mean, peak, agreed, c_prov, c_viol):
-    """(solvable, level) of balance_closed_form per cell."""
-    weight_wastage = peak * c_prov
-    weight_penalty = agreed * c_viol
-    total = weight_wastage + weight_penalty
-    r = peak * (mean * c_prov + agreed * c_viol) / total
-    r = np.where(mean > r, mean, r)
-    r = np.where(peak < r, peak, r)
-    r = np.where(c_viol == 0.0, mean, np.where(c_prov == 0.0, peak, r))
-    return ~(total <= 0.0) & np.isfinite(total), r
-
-
-def _bisect_grid(mean, peak, agreed, c_prov, c_viol, surcharge):
-    """(solvable, level) of balance_numeric per cell, all cells stepped together."""
-
-    def gap(r):
-        return _gap_grid(r, mean, peak, agreed, c_prov, c_viol, surcharge)
-
-    tolerance = 1e-9 * (c_prov + c_viol + surcharge)
-    gap_lo, gap_hi = gap(mean), gap(peak)
-    solvable = ~((c_prov == 0.0) & (c_viol == 0.0)) & ~((gap_lo > 0.0) | (gap_hi < 0.0))
-    endpoint = (gap_lo == 0.0) | (gap_hi == 0.0)
-    bisected = solvable & ~endpoint
-    lo, hi = mean, peak
-    width_target = _BISECT_REL_WIDTH * peak
-    active = bisected
-    for _ in range(_BISECT_MAX_ITER):
-        active = active & ~(hi - lo <= width_target)
-        if not active.any():
-            break
-        mid = 0.5 * (lo + hi)
-        up = gap(mid) >= 0.0
-        hi = np.where(active & up, mid, hi)
-        lo = np.where(active & ~up, mid, lo)
-    root = 0.5 * (lo + hi)
-    solvable &= ~(bisected & (np.abs(gap(root)) > tolerance))
-    root = np.where(gap_lo == 0.0, mean, np.where(gap_hi == 0.0, peak, root))
-    return solvable, root
-
-
+@np.errstate(all="ignore")
 def balance_grid(mean_demand, max_demand, r_agreed, c_en, c_co2, c_viol, satisfaction):
     """:func:`solve_balance` over float64 arrays, one cell per element.
 
     The seven inputs are the DemandStats and CostRates fields; they are
     broadcast against each other.  Returns ``(solved, columns)``: ``solved``
     marks the cells the scalar dispatcher solves, and ``columns`` holds the
-    BalanceResult fields in declaration order, NaN where not solved.  A
-    solved cell is bit-identical to the scalar result; the reason a cell is
-    not solved is the error the scalar path raises for it.
+    BalanceResult fields in declaration order, NaN where not solved.  The
+    scalar solvers run this same arithmetic on one cell, so a solved cell
+    is bit-identical to the scalar result; the reason a cell is not solved
+    is the error the scalar path raises for it.
     """
     mean, peak, agreed, c_en, c_co2, c_viol, surcharge = np.broadcast_arrays(
         *(
@@ -328,28 +277,29 @@ def balance_grid(mean_demand, max_demand, r_agreed, c_en, c_co2, c_viol, satisfa
             for a in (mean_demand, max_demand, r_agreed, c_en, c_co2, c_viol, satisfaction)
         )
     )
-    with np.errstate(all="ignore"):
-        c_prov = c_en + c_co2
-        # the DemandStats and CostRates validation
-        solved = np.ones(mean.shape, dtype=bool)
-        for value in (mean, peak, agreed, c_en, c_co2, c_viol, surcharge):
-            solved &= np.isfinite(value)
-        solved &= (mean >= 0.0) & (peak >= mean) & (agreed > 0.0) & (peak <= agreed)
-        for rate in (c_en, c_co2, c_viol, surcharge):
-            solved &= rate >= 0.0
-        closed = surcharge == 0.0
-        solvable, r = _closed_form_grid(mean, peak, agreed, c_prov, c_viol)
-        solved &= solvable | ~closed
-        numeric = np.flatnonzero(solved & ~closed)
-        if numeric.size:
-            solvable, root = _bisect_grid(
-                *(a.ravel()[numeric] for a in (mean, peak, agreed, c_prov, c_viol, surcharge))
-            )
-            solved.flat[numeric] = solvable
-            r.flat[numeric] = root
-        w = (r - mean) / agreed
-        p = _proba_grid(r, peak)
-        columns = (r, w, w * c_prov, p, p * c_viol)
+    c_prov = c_en + c_co2
+    # the DemandStats and CostRates validation
+    solved = np.ones(mean.shape, dtype=bool)
+    for value in (mean, peak, agreed, c_en, c_co2, c_viol, surcharge):
+        solved &= np.isfinite(value)
+    solved &= (mean >= 0.0) & (peak >= mean) & (agreed > 0.0) & (peak <= agreed)
+    for rate in (c_en, c_co2, c_viol, surcharge):
+        solved &= rate >= 0.0
+    closed = surcharge == 0.0
+    total, r = _closed_form(mean, peak, agreed, c_prov, c_viol)
+    solved &= ~closed | ((total > 0.0) & np.isfinite(total))
+    numeric = np.flatnonzero(solved & ~closed)
+    if numeric.size:
+        cell = [a.ravel()[numeric] for a in (mean, peak, agreed, c_prov, c_viol, surcharge)]
+        gap_lo, gap_hi, residual, root = _bisect(*cell)
+        c_prov_n, c_viol_n, surcharge_n = cell[3:]
+        solved.flat[numeric] = (
+            ~((c_prov_n == 0.0) & (c_viol_n == 0.0))
+            & ~((gap_lo > 0.0) | (gap_hi < 0.0))
+            & ~(np.abs(residual) > _tolerance(c_prov_n, c_viol_n, surcharge_n))
+        )
+        r.flat[numeric] = root
+    columns = _columns(r, mean, peak, agreed, c_prov, c_viol)
     return solved, tuple(np.where(solved, c, np.nan) for c in columns)
 
 

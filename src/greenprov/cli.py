@@ -21,6 +21,7 @@ reproduces them byte for byte.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -39,7 +40,6 @@ from .config import (
 from .errors import (
     ConfigError,
     DegenerateCosts,
-    DomainError,
     NonzeroSatisfaction,
     NoRootInRange,
     PolicyUnresolvable,
@@ -174,16 +174,6 @@ def _write_csv(path: Path, header, blocks):
             handle.write("".join(lines))
 
 
-def _result_dict(result) -> dict:
-    return {
-        "r_provisioned": result.r_provisioned,
-        "w": result.w,
-        "c_wastage": result.c_wastage,
-        "p_viol": result.p_viol,
-        "expected_penalty": result.expected_penalty,
-    }
-
-
 def cmd_balance(args) -> int:
     parsed = load_config(args.config)
     rates = parsed.require("rates")
@@ -193,7 +183,7 @@ def cmd_balance(args) -> int:
         {
             "stats": stats_to_dict(stats),
             "rates": rates_to_dict(rates),
-            "result": _result_dict(result),
+            "result": dataclasses.asdict(result),
         }
     )
     _write_text(_out_dir(args) / "balance.json", text)
@@ -307,7 +297,7 @@ def _sweep_cell(values: dict, satisfaction: float) -> list[str]:
         )
     except ValueError as exc:
         return ["", "", "", "", "", str(exc)]
-    return [_fmt(v) for v in _result_dict(result).values()] + [""]
+    return [_fmt(v) for v in dataclasses.astuple(result)] + [""]
 
 
 def cmd_sweep(args) -> int:
@@ -387,7 +377,7 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (DegenerateCosts, NonzeroSatisfaction, NoRootInRange, DomainError) as exc:
+    except (DegenerateCosts, NonzeroSatisfaction, NoRootInRange) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 2
     except PolicyUnresolvable as exc:

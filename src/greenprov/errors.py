@@ -27,10 +27,6 @@ class InvalidScenario(ValueError):
     """Simulation scenario fields violate their constraints."""
 
 
-class DomainError(ValueError):
-    """An argument lies outside the mathematical domain of an operation."""
-
-
 class DegenerateCosts(ValueError):
     """Both cost channels are zero, so the balance equation has no
     information, or their weights overflow a float."""

@@ -23,6 +23,7 @@ from .balance import (
     DemandStats,
     heuristic_band,
     solve_balance,
+    violation_probability_linear,
 )
 from .demand import DemandProfile
 from .errors import (
@@ -119,12 +120,12 @@ def resolve_policy(policy: Policy, stats: DemandStats, rates: CostRates) -> floa
         level = policy.level
     elif policy.kind == BALANCE:
         level = _balance(stats, rates).r_provisioned
-    else:  # BALANCE_BAND: the band edge nearest the balance, ties toward
-        # the low (energy-saving) edge.
+    else:  # BALANCE_BAND: the band is symmetric about the balance, so the
+        # low (energy-saving) edge unless the high edge is cut at r_agreed,
+        # which is then nearer.
         result = _balance(stats, rates)
-        r = result.r_provisioned
         lo, hi = heuristic_band(result, policy.x_percent, stats)
-        level = lo if abs(r - lo) <= abs(hi - r) else hi
+        level = hi if hi < result.r_provisioned * (1.0 + policy.x_percent) else lo
     return min(max(level, 0.0), stats.r_agreed)
 
 
@@ -296,8 +297,7 @@ def _report(
     utilization = level / agreed
     total_energy = utilization * scenario.energy_full * total_draws
     model_w = max(0.0, level - stats.mean_demand) / agreed
-    model_p = 0.0 if stats.max_demand <= 0.0 or level >= stats.max_demand \
-        else 1.0 - level / stats.max_demand
+    model_p = float(violation_probability_linear(level, stats.max_demand))
     if scenario.clamp_demand_to_agreed and level >= agreed:
         tail_p = 0.0
     else:

@@ -5,18 +5,20 @@ the raw arithmetic (no calls into the package), so the two routes stay
 independent.
 """
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from greenprov import (
     BalanceResult,
     CostRates,
     DegenerateCosts,
     DemandStats,
-    DomainError,
     InvalidRates,
     InvalidStats,
     NonzeroSatisfaction,
@@ -24,12 +26,9 @@ from greenprov import (
     balance_closed_form,
     balance_grid,
     balance_numeric,
-    expected_penalty,
     heuristic_band,
     solve_balance,
     violation_probability_linear,
-    wastage_cost,
-    wastage_fraction,
 )
 
 
@@ -102,34 +101,22 @@ class TestDemandStats:
 
 
 class TestPrimitives:
-    def test_wastage_fraction_anchors(self, stats):
-        assert wastage_fraction(40.0, stats) == 0.0
-        assert wastage_fraction(100.0, stats) == pytest.approx(0.6)
-        assert wastage_fraction(70.0, stats) == pytest.approx(0.3)
+    def test_violation_probability_anchors(self):
+        assert violation_probability_linear(0.0, 80.0) == 1.0
+        assert violation_probability_linear(80.0, 80.0) == 0.0
+        assert violation_probability_linear(40.0, 80.0) == 0.5
+        levels = np.array([0.0, 20.0, 40.0, 80.0])
+        assert violation_probability_linear(levels, 80.0).tolist() == [1.0, 0.75, 0.5, 0.0]
 
-    def test_wastage_fraction_negative_below_mean(self, stats):
-        assert wastage_fraction(30.0, stats) == pytest.approx(-0.1)
-
-    def test_wastage_cost(self, stats, rates):
-        assert wastage_cost(40.0, stats, rates) == 0.0
-        assert wastage_cost(70.0, stats, rates) == pytest.approx(0.6)
-        assert wastage_cost(70.0, stats, CostRates(0, 0, 1)) == 0.0
-
-    def test_violation_probability_anchors(self, stats):
-        assert violation_probability_linear(0.0, stats) == 1.0
-        assert violation_probability_linear(80.0, stats) == 0.0
-        assert violation_probability_linear(40.0, stats) == pytest.approx(0.5)
-
-    def test_violation_probability_domain(self, stats):
-        with pytest.raises(DomainError):
-            violation_probability_linear(80.0 + 1e-9, stats)
-        with pytest.raises(DomainError):
-            violation_probability_linear(-1.0, stats)
-
-    def test_expected_penalty(self):
-        assert expected_penalty(0.0, CostRates(0, 0, 7)) == 0.0
-        assert expected_penalty(1.0, CostRates(0, 0, 7)) == 7.0
-        assert expected_penalty(0.25, CostRates(0, 0, 4)) == pytest.approx(1.0)
+    def test_violation_probability_domain(self):
+        # 0 at and above max demand, and for demand that is a.s. zero
+        assert violation_probability_linear(80.0 + 1e-9, 80.0) == 0.0
+        assert violation_probability_linear(1e308, 1e-310) == 0.0
+        for r in (0.0, 5.0):
+            assert violation_probability_linear(r, 0.0) == 0.0
+            assert violation_probability_linear(r, -1.0) == 0.0
+        p = violation_probability_linear(np.array([0.0, 100.0]), np.array([[0.0], [80.0]]))
+        assert p.tolist() == [[0.0, 0.0], [1.0, 0.0]]
 
 
 class TestClosedForm:
@@ -141,7 +128,7 @@ class TestClosedForm:
 
     def test_result_fields_are_coherent(self, stats, rates):
         result = balance_closed_form(stats, rates)
-        assert result.w == pytest.approx(wastage_fraction(result.r_provisioned, stats))
+        assert result.w == pytest.approx((result.r_provisioned - 40.0) / 100.0)
         assert result.c_wastage == pytest.approx(result.w * rates.c_provision)
         assert result.p_viol == pytest.approx(1 - result.r_provisioned / 80.0)
         assert result.expected_penalty == pytest.approx(result.p_viol * rates.c_viol)
@@ -244,10 +231,6 @@ class TestNumeric:
         with pytest.raises(DegenerateCosts):
             balance_numeric(stats, CostRates(0, 0, 0))
 
-    def test_bad_tolerance_rejected(self, stats, rates):
-        with pytest.raises(ValueError):
-            balance_numeric(stats, rates, tolerance=0.0)
-
     def test_limit_cases_match_closed_form_exactly(self, stats):
         assert balance_numeric(stats, CostRates(2, 0, 0)).r_provisioned == 40.0
         assert balance_numeric(stats, CostRates(0, 0, 3)).r_provisioned == 80.0
@@ -276,6 +259,49 @@ class TestHeuristicBand:
         for bad in (-0.1, 1.0, 1.5):
             with pytest.raises(ValueError):
                 heuristic_band(result, bad, stats)
+
+
+class TestScalarContract:
+    """What callers of the scalar solvers see: Python floats, and the full
+    texts of the solver errors."""
+
+    def test_fields_are_python_floats(self, stats):
+        results = (
+            balance_closed_form(stats, CostRates(1.5, 0.5, 1.0)),
+            balance_closed_form(stats, CostRates(2.0, 0.0, 0.0)),  # endpoint
+            balance_numeric(stats, CostRates(2.0, 0.0, 1.0, satisfaction=0.2)),
+            balance_numeric(stats, CostRates(0.5, 0.0, 0.0, satisfaction=0.2)),  # endpoint
+        )
+        for result in results:
+            for field in dataclasses.fields(result):
+                assert type(getattr(result, field.name)) is float, (result, field.name)
+
+    def test_zero_cost_channels_text(self, stats):
+        for solver, rates in (
+            (balance_closed_form, CostRates(0, 0, 0)),
+            (balance_numeric, CostRates(0, 0, 0, satisfaction=0.1)),
+        ):
+            with pytest.raises(DegenerateCosts) as caught:
+                solver(stats, rates)
+            assert str(caught.value) == "both cost channels are zero; no balance exists"
+
+    def test_overflowing_weights_text(self, stats):
+        prefix = "cost weights overflow: max_demand * c_provision + r_agreed * c_viol is "
+        for stats_, rates, total in (
+            (stats, CostRates(0.5, 0, 1e308), "inf"),
+            (DemandStats(0.0, 0.0, 1.0), CostRates(1e308, 1e308, 1.0), "nan"),  # 0 * inf
+        ):
+            with pytest.raises(DegenerateCosts) as caught:
+                balance_closed_form(stats_, rates)
+            assert str(caught.value) == prefix + total
+
+    def test_no_root_text(self, stats):
+        # gaps: 0 - 0.5 - 10 at the mean, 0.8 - 0 - 10 at the max
+        with pytest.raises(NoRootInRange) as caught:
+            balance_numeric(stats, CostRates(2.0, 0.0, 1.0, satisfaction=10.0))
+        assert str(caught.value) == (
+            "cost difference does not cross zero on [40.0, 80.0] (endpoints -10.5, -9.2)"
+        )
 
 
 class TestSolveBalance:
@@ -348,3 +374,88 @@ class TestBalanceGrid:
                 DemandStats(means[index], 80.0, 100.0), CostRates(1.5, 0.5, 1.0, 0.05)
             )
             assert columns[0][index] == expected.r_provisioned
+
+
+# Property tests: derandomized and without an example database, so every
+# run checks the same inputs and writes nothing.
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+# Any float (subnormals, +-0, +-inf, NaN included), special values drawn
+# often, and plain demand-sized values.
+ANY_FLOAT = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1.0, 1e308,
+         math.inf, -math.inf, math.nan]
+    ),
+    st.floats(),
+    st.floats(0.0, 100.0),
+)
+
+
+@st.composite
+def grid_cells(draw):
+    """One balance_grid cell: the seven DemandStats and CostRates fields.
+
+    Half the cells drop the signs (not of zeros) and order the demand
+    fields, so that many pass validation and reach a solver.
+    """
+    fields = [draw(ANY_FLOAT) for _ in range(7)]
+    if draw(st.booleans()):
+        fields = [abs(x) if x else x for x in fields]
+        fields[:3] = sorted(fields[:3])
+    if draw(st.booleans()):
+        fields[6] = 0.0  # the closed form
+    return tuple(fields)
+
+
+@PROPERTY
+@given(st.lists(grid_cells(), min_size=1, max_size=6))
+@example([(40.0, 80.0, 100.0, 1.5, 0.5, 1.0, 0.0), (79.9, 80.0, 100.0, 1.5, 0.5, 1.0, 5.0)])
+# a one-ulp demand range, whose bisection leaves a residual above tolerance
+@example([(0.0, 5e-324, 5e-324, 1.0, 0.0, 1.0, 0.5)])
+def test_grid_solves_exactly_what_the_scalar_path_solves(cells):
+    solved, columns = balance_grid(*np.array(cells).T)
+    table = np.column_stack(columns)
+    for i, (mean, peak, agreed, c_en, c_co2, c_viol, satisfaction) in enumerate(cells):
+        try:
+            result = solve_balance(
+                DemandStats(mean, peak, agreed),
+                CostRates(c_en, c_co2, c_viol, satisfaction),
+            )
+        except (ValueError, ArithmeticError):
+            assert not solved[i], cells[i]
+            assert np.isnan(table[i]).all(), cells[i]
+            continue
+        assert solved[i], cells[i]
+        expected = np.array(dataclasses.astuple(result))
+        assert expected.view(np.int64).tolist() == table[i].view(np.int64).tolist(), cells[i]
+
+
+POSITIVE = st.floats(1e-6, 1e6)
+PRICE = st.one_of(st.just(0.0), st.floats(1e-6, 1e6))
+
+
+@PROPERTY
+@given(
+    agreed=POSITIVE,
+    peak_share=st.floats(0.0, 1.0),
+    mean_share=st.floats(0.0, 1.0),
+    c_en=PRICE,
+    c_co2=PRICE,
+    c_viol=PRICE,
+    satisfaction=st.one_of(st.just(0.0), PRICE),
+)
+def test_solved_level_lies_in_demand_range(
+    agreed, peak_share, mean_share, c_en, c_co2, c_viol, satisfaction
+):
+    peak = agreed * peak_share
+    mean = peak * mean_share
+    stats = DemandStats(mean, peak, agreed)
+    try:
+        r = solve_balance(stats, CostRates(c_en, c_co2, c_viol, satisfaction)).r_provisioned
+    except (DegenerateCosts, NoRootInRange, ArithmeticError):
+        return  # not solved
+    assert mean <= r <= peak
+    if satisfaction == 0.0 and peak > 0.0:
+        oracle = oracle_balance(mean, peak, agreed, c_en, c_co2, c_viol)
+        assert r == pytest.approx(oracle, rel=1e-9)

@@ -128,6 +128,17 @@ class TestResolvePolicy:
         level = resolve_policy(Policy.balance_band(0.1), stats, rates)
         assert level == pytest.approx(result.r_provisioned * 0.9)
 
+    def test_band_takes_low_edge_unless_high_edge_is_cut(self, stats, rates):
+        # balance 14400 / 260 = 55.3846...: the band is symmetric about it,
+        # so the low edge r(1 - x), whatever rounding says about distances,
+        # until r(1 + x) passes r_agreed and the cut edge 100 is nearer
+        def level(x):
+            return resolve_policy(Policy.balance_band(x), stats, rates)
+
+        assert level(0.5) == pytest.approx(7200 / 260)  # 27.69...
+        assert level(0.8) == pytest.approx(2880 / 260)  # 11.07..., not 99.69...
+        assert level(0.9) == 100.0
+
 
 class TestScenarioValidation:
     def test_counts_must_be_positive(self, scenario):
