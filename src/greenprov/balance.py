@@ -13,13 +13,16 @@ Two independent routes compute it: an algebraic closed form and a bisection
 solver on the cost-difference function, which also covers a nonzero
 customer-satisfaction surcharge.  Each is written once, elementwise over
 float64 arrays: ``balance_grid`` runs it on whole columns, and the scalar
-solvers on the values of one cell.
+solvers on the values of one cell.  The reasons a cell has no balance, and
+their error texts, are one ordered table, ``FAILURES``, from which the
+dataclasses, the scalar solvers and ``balance_grid`` all check.
 """
 
 from __future__ import annotations
 
-import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +39,96 @@ from .errors import (
 # only guards degenerate input).
 _BISECT_REL_WIDTH = 1e-12
 _BISECT_MAX_ITER = 200
+
+# The DemandStats and CostRates fields, in the order balance_grid takes them.
+_STATS_FIELDS = ("mean_demand", "max_demand", "r_agreed")
+_RATES_FIELDS = ("c_en", "c_co2", "c_viol", "satisfaction")
+
+
+class Failure(NamedTuple):
+    """One reason a cell has no balance.
+
+    ``fails`` tests a mapping of cell values (floats, or float64 arrays of
+    cells); the error message is ``template`` filled with the values named
+    in ``fields``.
+    """
+
+    error: type
+    template: str
+    fields: tuple
+    fails: Callable
+
+    def exception(self, values) -> ValueError:
+        """The error of one cell, from a mapping of its values."""
+        return self.error(self.template % tuple(values[name] for name in self.fields))
+
+
+# Every reason, in the order they are checked; a cell reports the first it
+# fails.  A ``fails`` test never applies ~ to a plain comparison: on a bool it
+# gives -1 or -2, both truthy.
+_STATS_CHECKS = (
+    *(
+        Failure(InvalidStats, f"{name} must be finite, got %s", (name,),
+                lambda v, name=name: ~np.isfinite(v[name]))
+        for name in _STATS_FIELDS
+    ),
+    Failure(InvalidStats, "mean_demand must be >= 0, got %s", ("mean_demand",),
+            lambda v: v["mean_demand"] < 0.0),
+    Failure(InvalidStats, "max_demand (%s) < mean_demand (%s)",
+            ("max_demand", "mean_demand"), lambda v: v["max_demand"] < v["mean_demand"]),
+    Failure(InvalidStats, "r_agreed must be positive, got %s", ("r_agreed",),
+            lambda v: v["r_agreed"] <= 0.0),
+    Failure(InvalidStats,
+            "max_demand (%s) exceeds r_agreed (%s); "
+            "clamp demand at the scenario level if this is intended",
+            ("max_demand", "r_agreed"), lambda v: v["max_demand"] > v["r_agreed"]),
+)
+_RATES_CHECKS = tuple(
+    Failure(InvalidRates, f"{name} must be finite and >= 0, got %s", (name,),
+            lambda v, name=name: ~np.isfinite(v[name]) | (v[name] < 0.0))
+    for name in _RATES_FIELDS
+)
+# The solver values: the closed form runs where ``closed``, with total
+# weight ``total``; bisection elsewhere, with endpoint gaps ``gap_lo`` and
+# ``gap_hi`` and the ``residual`` gap at its root (NaN where not bisected).
+_SOLVER_CHECKS = (
+    Failure(DegenerateCosts, "both cost channels are zero; no balance exists", (),
+            lambda v: np.where(v["closed"], v["total"] <= 0.0,
+                               (v["c_provision"] == 0.0) & (v["c_viol"] == 0.0))),
+    Failure(DegenerateCosts,
+            "cost weights overflow: max_demand * c_provision + r_agreed * c_viol is %s",
+            ("total",), lambda v: v["closed"] & ~np.isfinite(v["total"])),
+    Failure(NoRootInRange,
+            "cost difference does not cross zero on [%s, %s] (endpoints %.6g, %.6g)",
+            ("mean_demand", "max_demand", "gap_lo", "gap_hi"),
+            lambda v: (v["gap_lo"] > 0.0) | (v["gap_hi"] < 0.0)),
+    Failure(NoRootInRange, "bisection residual %.3g exceeds tolerance %.3g",
+            ("residual", "tolerance"), lambda v: np.abs(v["residual"]) > v["tolerance"]),
+)
+FAILURES = _STATS_CHECKS + _RATES_CHECKS + _SOLVER_CHECKS
+
+
+def _check(checks, values):
+    """Raise the error of the first of ``checks`` that one cell fails."""
+    for check in checks:
+        if check.fails(values):
+            raise check.exception(values)
+
+
+def _first_failure(checks, values, offset):
+    """Per cell, the FAILURES index of the first of ``checks`` it fails
+    (``checks`` starts at FAILURES[offset]) or -1, and whether any fails.
+
+    The solvers test the mask rather than compare the indices: numpy's
+    integer comparison loops run nowhere else in a simulation, and running
+    them maps about 0.1 MB more of numpy's code into the process.
+    """
+    failure, failed = -1, np.False_
+    for i in reversed(range(len(checks))):
+        fails = checks[i].fails(values)
+        failure = np.where(fails, offset + i, failure)
+        failed = failed | fails
+    return failure, failed
 
 
 @dataclass(frozen=True)
@@ -54,10 +147,7 @@ class CostRates:
     satisfaction: float = 0.0
 
     def __post_init__(self):
-        for name in ("c_en", "c_co2", "c_viol", "satisfaction"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0.0:
-                raise InvalidRates(f"{name} must be finite and >= 0, got {value}")
+        _check(_RATES_CHECKS, vars(self))
 
     @property
     def c_provision(self) -> float:
@@ -78,23 +168,7 @@ class DemandStats:
     r_agreed: float
 
     def __post_init__(self):
-        for name in ("mean_demand", "max_demand", "r_agreed"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise InvalidStats(f"{name} must be finite, got {value}")
-        if self.mean_demand < 0.0:
-            raise InvalidStats(f"mean_demand must be >= 0, got {self.mean_demand}")
-        if self.max_demand < self.mean_demand:
-            raise InvalidStats(
-                f"max_demand ({self.max_demand}) < mean_demand ({self.mean_demand})"
-            )
-        if self.r_agreed <= 0.0:
-            raise InvalidStats(f"r_agreed must be positive, got {self.r_agreed}")
-        if self.max_demand > self.r_agreed:
-            raise InvalidStats(
-                f"max_demand ({self.max_demand}) exceeds r_agreed ({self.r_agreed}); "
-                "clamp demand at the scenario level if this is intended"
-            )
+        _check(_STATS_CHECKS, vars(self))
 
 
 @dataclass(frozen=True)
@@ -122,8 +196,8 @@ def violation_probability_linear(r, max_demand):
 
 
 # The solver arithmetic below runs elementwise on float64 arrays or
-# scalars, with floating-point errors ignored by the caller: balance_grid
-# passes whole columns, the scalar solvers one cell's float64 values.
+# scalars, with floating-point errors ignored by _solve: balance_grid
+# passes it whole columns, the scalar solvers one cell's float64 values.
 
 
 def _columns(r, mean, peak, agreed, c_prov, c_viol):
@@ -184,17 +258,58 @@ def _bisect(mean, peak, agreed, c_prov, c_viol, surcharge):
     return gap_lo, gap_hi, gap(root), root
 
 
-def _float64(stats: DemandStats, rates: CostRates):
-    # One cell's inputs as float64 scalars, which divide by zero and
-    # overflow as the array columns do instead of raising.
-    return map(
-        np.float64,
-        (stats.mean_demand, stats.max_demand, stats.r_agreed,
-         rates.c_provision, rates.c_viol, rates.satisfaction),
-    )
-
-
 @np.errstate(all="ignore")
+def _solve(values, closed, failure, failed):
+    """Balance the cells of ``values`` that have not ``failed`` yet: by the
+    closed form where ``closed``, by bisection elsewhere.
+
+    ``values`` maps the DemandStats and CostRates fields to float64 arrays,
+    or to one cell's float64 scalars; the solver values the checks read are
+    added to it.  Returns ``failure`` and ``failed`` as _first_failure does
+    for every check, and the BalanceResult columns, NaN where failed.
+    """
+    mean, peak, agreed, c_en, c_co2, c_viol, surcharge = (
+        values[name] for name in _STATS_FIELDS + _RATES_FIELDS
+    )
+    c_prov = c_en + c_co2
+    total, r = _closed_form(mean, peak, agreed, c_prov, c_viol)
+    values.update(closed=closed, c_provision=c_prov, total=total,
+                  tolerance=_tolerance(c_prov, c_viol, surcharge))
+    gaps = ("gap_lo", "gap_hi", "residual")
+    for name in gaps:
+        values[name] = np.full(np.shape(mean), np.nan)
+    numeric = np.flatnonzero(~(failed | closed))
+    if numeric.size:
+        # one cell's scalars are bisected as they are: numpy scalar
+        # arithmetic is several times faster than on one-element arrays
+        cell = [a if np.ndim(a) == 0 else a.ravel()[numeric]
+                for a in (mean, peak, agreed, c_prov, c_viol, surcharge)]
+        *found, root = _bisect(*cell)
+        for name, column in zip(gaps, found):
+            values[name].flat[numeric] = column
+        r.flat[numeric] = root
+    solver, solver_failed = _first_failure(
+        _SOLVER_CHECKS, values, len(FAILURES) - len(_SOLVER_CHECKS)
+    )
+    failure = np.where(failed, failure, solver)
+    failed = failed | solver_failed
+    columns = _columns(r, mean, peak, agreed, c_prov, c_viol)
+    return failure, failed, tuple(np.where(failed, np.nan, c) for c in columns)
+
+
+def _solve_cell(stats: DemandStats, rates: CostRates, closed: bool) -> BalanceResult:
+    """One cell through :func:`_solve`, raising the error of its failure."""
+    inputs = {**vars(stats), **vars(rates)}
+    # float64 scalars divide by zero and overflow as the array columns do
+    values = {name: np.float64(x) for name, x in inputs.items()}
+    failure, failed, columns = _solve(values, np.bool_(closed), -1, np.False_)
+    if failed:
+        # the fields as given, so the message prints them as the checks do
+        shown = {name: x.tolist() for name, x in values.items()} | inputs
+        raise FAILURES[int(failure)].exception(shown)
+    return BalanceResult(*map(float, columns))
+
+
 def balance_closed_form(stats: DemandStats, rates: CostRates) -> BalanceResult:
     """Algebraic equilibrium of wastage cost against expected penalty.
 
@@ -208,19 +323,9 @@ def balance_closed_form(stats: DemandStats, rates: CostRates) -> BalanceResult:
         raise NonzeroSatisfaction(
             "closed form requires satisfaction == 0; use balance_numeric"
         )
-    mean, peak, agreed, c_prov, c_viol, _ = _float64(stats, rates)
-    total, r = _closed_form(mean, peak, agreed, c_prov, c_viol)
-    if total <= 0.0:
-        raise DegenerateCosts("both cost channels are zero; no balance exists")
-    if not np.isfinite(total):
-        raise DegenerateCosts(
-            "cost weights overflow: max_demand * c_provision + r_agreed * c_viol "
-            f"is {float(total)}"
-        )
-    return BalanceResult(*map(float, _columns(r, mean, peak, agreed, c_prov, c_viol)))
+    return _solve_cell(stats, rates, closed=True)
 
 
-@np.errstate(all="ignore")
 def balance_numeric(stats: DemandStats, rates: CostRates) -> BalanceResult:
     """Bisection on the cost difference, generalizing to satisfaction >= 0.
 
@@ -230,26 +335,12 @@ def balance_numeric(stats: DemandStats, rates: CostRates) -> BalanceResult:
         wastage cost(r) - expected penalty(r) - satisfaction
 
     lies inside.  The residual cost gap at the returned level is at most
-    1e-9 * (c_en + c_co2 + c_viol + satisfaction).  Raises NoRootInRange
-    when the surcharge exceeds the wastage cost even at max demand.
+    1e-9 * (c_en + c_co2 + c_viol + satisfaction).  Raises DegenerateCosts
+    when both prices are zero, and NoRootInRange when the surcharge exceeds
+    the wastage cost even at max demand or the bisection cannot bring the
+    residual within that tolerance.
     """
-    if rates.c_provision == 0.0 and rates.c_viol == 0.0:
-        raise DegenerateCosts("both cost channels are zero; no balance exists")
-    mean, peak, agreed, c_prov, c_viol, surcharge = _float64(stats, rates)
-    gap_lo, gap_hi, residual, r = _bisect(mean, peak, agreed, c_prov, c_viol, surcharge)
-    if gap_lo > 0.0 or gap_hi < 0.0:
-        raise NoRootInRange(
-            "cost difference does not cross zero on "
-            f"[{stats.mean_demand}, {stats.max_demand}] "
-            f"(endpoints {float(gap_lo):.6g}, {float(gap_hi):.6g})"
-        )
-    tolerance = _tolerance(c_prov, c_viol, surcharge)
-    if abs(residual) > tolerance:
-        raise ArithmeticError(
-            f"bisection residual {float(residual):.3g} exceeds tolerance "
-            f"{float(tolerance):.3g}"
-        )
-    return BalanceResult(*map(float, _columns(r, mean, peak, agreed, c_prov, c_viol)))
+    return _solve_cell(stats, rates, closed=False)
 
 
 def solve_balance(stats: DemandStats, rates: CostRates) -> BalanceResult:
@@ -259,48 +350,38 @@ def solve_balance(stats: DemandStats, rates: CostRates) -> BalanceResult:
     return balance_numeric(stats, rates)
 
 
-@np.errstate(all="ignore")
 def balance_grid(mean_demand, max_demand, r_agreed, c_en, c_co2, c_viol, satisfaction):
     """:func:`solve_balance` over float64 arrays, one cell per element.
 
     The seven inputs are the DemandStats and CostRates fields; they are
-    broadcast against each other.  Returns ``(solved, columns)``: ``solved``
-    marks the cells the scalar dispatcher solves, and ``columns`` holds the
-    BalanceResult fields in declaration order, NaN where not solved.  The
-    scalar solvers run this same arithmetic on one cell, so a solved cell
-    is bit-identical to the scalar result; the reason a cell is not solved
-    is the error the scalar path raises for it.
+    broadcast against each other.  Returns ``(failure, columns, values)``:
+
+    - ``failure`` holds, per cell, the index into :data:`FAILURES` of the
+      error the scalar path raises for it, or -1 where it is solved;
+    - ``columns`` holds the BalanceResult fields in declaration order, NaN
+      where not solved;
+    - ``values`` maps each name the checks read to its array: the seven
+      inputs, ``c_provision``, ``closed`` (where the closed form runs),
+      its weight ``total``, and the bisection's ``gap_lo``, ``gap_hi``,
+      ``residual`` and ``tolerance``.
+
+    Cell ``i`` fails with ``FAILURES[failure[i]].exception(cell)``, where
+    ``cell`` maps each name in ``values`` to its value at ``i``.  The
+    scalar solvers run this same code on one cell, so a solved cell is
+    bit-identical to the scalar result.
     """
-    mean, peak, agreed, c_en, c_co2, c_viol, surcharge = np.broadcast_arrays(
-        *(
-            np.asarray(a, dtype=float)
-            for a in (mean_demand, max_demand, r_agreed, c_en, c_co2, c_viol, satisfaction)
-        )
-    )
-    c_prov = c_en + c_co2
-    # the DemandStats and CostRates validation
-    solved = np.ones(mean.shape, dtype=bool)
-    for value in (mean, peak, agreed, c_en, c_co2, c_viol, surcharge):
-        solved &= np.isfinite(value)
-    solved &= (mean >= 0.0) & (peak >= mean) & (agreed > 0.0) & (peak <= agreed)
-    for rate in (c_en, c_co2, c_viol, surcharge):
-        solved &= rate >= 0.0
-    closed = surcharge == 0.0
-    total, r = _closed_form(mean, peak, agreed, c_prov, c_viol)
-    solved &= ~closed | ((total > 0.0) & np.isfinite(total))
-    numeric = np.flatnonzero(solved & ~closed)
-    if numeric.size:
-        cell = [a.ravel()[numeric] for a in (mean, peak, agreed, c_prov, c_viol, surcharge)]
-        gap_lo, gap_hi, residual, root = _bisect(*cell)
-        c_prov_n, c_viol_n, surcharge_n = cell[3:]
-        solved.flat[numeric] = (
-            ~((c_prov_n == 0.0) & (c_viol_n == 0.0))
-            & ~((gap_lo > 0.0) | (gap_hi < 0.0))
-            & ~(np.abs(residual) > _tolerance(c_prov_n, c_viol_n, surcharge_n))
-        )
-        r.flat[numeric] = root
-    columns = _columns(r, mean, peak, agreed, c_prov, c_viol)
-    return solved, tuple(np.where(solved, c, np.nan) for c in columns)
+    values = dict(zip(
+        _STATS_FIELDS + _RATES_FIELDS,
+        np.broadcast_arrays(
+            *(
+                np.asarray(a, dtype=float)
+                for a in (mean_demand, max_demand, r_agreed, c_en, c_co2, c_viol, satisfaction)
+            )
+        ),
+    ))
+    failure, failed = _first_failure(_STATS_CHECKS + _RATES_CHECKS, values, 0)
+    failure, _, columns = _solve(values, values["satisfaction"] == 0.0, failure, failed)
+    return failure, columns, values
 
 
 def heuristic_band(

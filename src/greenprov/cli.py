@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .balance import CostRates, DemandStats, balance_grid, solve_balance
+from .balance import FAILURES, balance_grid, solve_balance
 from .config import (
     build_scenario,
     load_config,
@@ -57,8 +57,8 @@ _SWEEP_INPUTS = SWEEP_HEADER[:6]
 _ROW_BLOCK = 1 << 10
 
 # One % format per table row. Numbers never need CSV quoting; the sweep's
-# inputs and satisfaction arrive preformatted, and its error field is left
-# empty here (unsolved rows are rewritten whole).
+# inputs and satisfaction arrive preformatted, and a solved row's error
+# field is empty.
 _TRACE_ROW = "%d,%d,%.12g,%.12g,%d,%.12g,%.12g,%.12g\n"
 _SWEEP_ROW = "%s," * 7 + "%.12g," * 5 + "\n"
 
@@ -157,6 +157,14 @@ def _csv_field(text: str) -> str:
     if any(c in text for c in ',"\n\r'):
         return '"' + text.replace('"', '""') + '"'
     return text
+
+
+# An unsolved sweep row per balance.FAILURES entry: the inputs, five empty
+# result fields and the error text.  The template is quoted once, since
+# the numbers filled into it never contain a comma or a quote.
+_SWEEP_ERROR_ROWS = tuple(
+    "%s," * 7 + "," * 5 + _csv_field(failure.template) + "\n" for failure in FAILURES
+)
 
 
 def _format_rows(fmt: str, columns) -> list[str]:
@@ -278,7 +286,8 @@ def _parse_param(text: str, seen: set[str]) -> tuple[str, np.ndarray]:
         # non-finite or overflowing bounds give inf/NaN points: error rows
         with np.errstate(invalid="ignore", over="ignore"):
             grid = np.linspace(start, stop, count)
-    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's size limit
+    # ValueError or IndexError (from 2**63 - 1 points on): beyond numpy's size limit
+    except (MemoryError, ValueError, IndexError) as exc:
         raise ConfigError(
             f"invalid --param {text!r}: {count} points do not fit in memory"
         ) from exc
@@ -286,18 +295,6 @@ def _parse_param(text: str, seen: set[str]) -> tuple[str, np.ndarray]:
     grid[0] = start
     seen.add(name)
     return name, grid
-
-
-def _sweep_cell(values: dict, satisfaction: float) -> list[str]:
-    """Result and error fields of one sweep cell, solved by the scalar path."""
-    try:
-        result = solve_balance(
-            DemandStats(values["mean_demand"], values["max_demand"], values["r_agreed"]),
-            CostRates(values["c_en"], values["c_co2"], values["c_viol"], satisfaction),
-        )
-    except ValueError as exc:
-        return ["", "", "", "", "", str(exc)]
-    return [_fmt(v) for v in dataclasses.astuple(result)] + [""]
 
 
 def cmd_sweep(args) -> int:
@@ -346,18 +343,27 @@ def cmd_sweep(args) -> int:
                 k: grids[k][index[k]] if k in index else np.full(n, base[k])
                 for k in _SWEEP_INPUTS
             }
-            solved, results = balance_grid(
+            failure, results, values = balance_grid(
                 *(inputs[k] for k in _SWEEP_INPUTS), rates.satisfaction
             )
             texts = [labels[k][index.get(k, fixed_index[:n])] for k in labels]
-            lines = _format_rows(_SWEEP_ROW, texts + list(results))
-            for i in np.flatnonzero(~solved).tolist():
-                values = {k: float(inputs[k][i]) for k in _SWEEP_INPUTS}
-                cell = _sweep_cell(values, rates.satisfaction)
-                failed += cell[-1] != ""
-                cell[-1] = _csv_field(cell[-1])
-                lines[i] = ",".join([t[i] for t in texts] + cell) + "\n"
-            yield lines
+            # Each failure's rows, then the solved rows, are formatted apart
+            # and merged back in cell order
+            lines = np.empty(n, dtype=object)
+            unsolved = np.flatnonzero(failure >= 0)
+            failed += unsolved.size
+            reasons = failure[unsolved]
+            for k, fmt in enumerate(_SWEEP_ERROR_ROWS):
+                rows = unsolved[reasons == k]
+                if rows.size:
+                    # the message values as the scalar path prints them, -0.0 included
+                    fields = [t[rows] for t in texts]
+                    fields += [values[name][rows] for name in FAILURES[k].fields]
+                    lines[rows] = list(map(fmt.__mod__, zip(*(f.tolist() for f in fields))))
+            del values  # free its arrays before the bulk of the text is made
+            solved = np.flatnonzero(failure < 0)
+            lines[solved] = _format_rows(_SWEEP_ROW, [c[solved] for c in texts + list(results)])
+            yield lines.tolist()
 
     out = _out_dir(args)
     _write_csv(out / "sweep.csv", SWEEP_HEADER, blocks())

@@ -37,7 +37,8 @@ class NonzeroSatisfaction(ValueError):
 
 
 class NoRootInRange(ValueError):
-    """The cost-difference function has no zero between mean and max demand."""
+    """The cost-difference function has no zero between mean and max demand,
+    or bisection cannot bring its residual within tolerance."""
 
 
 class PolicyUnresolvable(RuntimeError):

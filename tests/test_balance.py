@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from greenprov import (
+    FAILURES,
     BalanceResult,
     CostRates,
     DegenerateCosts,
@@ -302,6 +303,16 @@ class TestScalarContract:
         assert str(caught.value) == (
             "cost difference does not cross zero on [40.0, 80.0] (endpoints -10.5, -9.2)"
         )
+        # fields print as given, as in the DemandStats and CostRates errors
+        with pytest.raises(NoRootInRange, match=r"on \[40, 80\]"):
+            balance_numeric(DemandStats(40, 80, 100), CostRates(2, 0, 1, satisfaction=10))
+
+    def test_residual_above_tolerance_text(self):
+        # a one-ulp demand range: bisection cannot move off the low end
+        stats = DemandStats(0.0, 5e-324, 5e-324)
+        with pytest.raises(NoRootInRange) as caught:
+            balance_numeric(stats, CostRates(1.0, 0.0, 1.0, satisfaction=0.5))
+        assert str(caught.value) == "bisection residual -1.5 exceeds tolerance 2.5e-09"
 
 
 class TestSolveBalance:
@@ -328,52 +339,71 @@ class TestBalanceGrid:
 
     def test_matches_scalar_dispatcher_bit_for_bit(self):
         cells = list(itertools.product(*self.AXES))
-        solved, columns = balance_grid(*np.array(cells).T)
-        table = np.column_stack(columns)
-        outcomes = set()
-        for i, (mean, peak, agreed, c_en, c_co2, c_viol, sat) in enumerate(cells):
-            try:
-                result = solve_balance(
-                    DemandStats(mean, peak, agreed), CostRates(c_en, c_co2, c_viol, sat)
-                )
-            except ValueError as exc:
-                outcomes.add(type(exc).__name__)
-                assert not solved[i], cells[i]
-                assert np.isnan(table[i]).all()
-                continue
-            outcomes.add("solved")
-            assert solved[i], cells[i]
-            expected = np.array(
-                [result.r_provisioned, result.w, result.c_wastage, result.p_viol,
-                 result.expected_penalty]
-            )
-            assert expected.view(np.int64).tolist() == table[i].view(np.int64).tolist(), cells[i]
+        failure, columns, values = balance_grid(*np.array(cells).T)
+        outcomes = {type(scalar_outcome(*cell)).__name__ for cell in cells}
         assert outcomes == {
-            "solved", "InvalidStats", "InvalidRates", "DegenerateCosts", "NoRootInRange"
+            "BalanceResult", "InvalidStats", "InvalidRates", "DegenerateCosts", "NoRootInRange"
         }
+        assert_grid_matches_scalar_path(cells, failure, columns, values)
 
     def test_inputs_broadcast(self, stats, rates):
-        solved, columns = balance_grid(40.0, 80.0, 100.0, 1.5, 0.5, [0.0, 1.0], 0.0)
-        assert solved.tolist() == [True, True]
+        failure, columns, _ = balance_grid(40.0, 80.0, 100.0, 1.5, 0.5, [0.0, 1.0], 0.0)
+        assert failure.tolist() == [-1, -1]
         assert columns[0][0] == 40.0
         assert columns[0][1] == balance_closed_form(stats, rates).r_provisioned
-        no_root, columns = balance_grid(79.9, 80.0, 100.0, 1.5, 0.5, 1.0, 5.0)
-        assert not no_root and np.isnan(columns[0])
+        no_root, columns, _ = balance_grid(79.9, 80.0, 100.0, 1.5, 0.5, 1.0, 5.0)
+        assert FAILURES[no_root].error is NoRootInRange and np.isnan(columns[0])
 
     def test_overflowing_weights_are_unsolved(self):
-        solved, columns = balance_grid(40.0, 80.0, 100.0, 0.5, 0.0, [1e300, 1e308], 0.0)
-        assert solved.tolist() == [True, False]
+        failure, columns, values = balance_grid(40.0, 80.0, 100.0, 0.5, 0.0, [1e300, 1e308], 0.0)
+        assert failure[0] == -1 and FAILURES[failure[1]].error is DegenerateCosts
+        assert values["total"][1] == math.inf
         assert columns[0][0] == 80.0 and np.isnan(columns[0][1])
 
     def test_two_dimensional_bisection(self):
         means = np.array([[40.0, 90.0], [20.0, 60.0]])
-        solved, columns = balance_grid(means, 80.0, 100.0, 1.5, 0.5, 1.0, 0.05)
-        assert solved.tolist() == [[True, False], [True, True]]
+        failure, columns, values = balance_grid(means, 80.0, 100.0, 1.5, 0.5, 1.0, 0.05)
+        assert (failure >= 0).tolist() == [[False, True], [False, False]]
+        assert "< mean_demand (90.0)" in str(grid_error(failure, values, (0, 1)))
         for index in ((0, 0), (1, 0), (1, 1)):
             expected = solve_balance(
                 DemandStats(means[index], 80.0, 100.0), CostRates(1.5, 0.5, 1.0, 0.05)
             )
             assert columns[0][index] == expected.r_provisioned
+
+
+def scalar_outcome(mean, peak, agreed, c_en, c_co2, c_viol, satisfaction):
+    """One cell through the scalar path: its BalanceResult, or the error it raises."""
+    try:
+        stats = DemandStats(mean, peak, agreed)
+        rates = CostRates(c_en, c_co2, c_viol, satisfaction)
+        return solve_balance(stats, rates)
+    except ValueError as exc:
+        return exc
+
+
+def grid_error(failure, values, index):
+    """The error balance_grid reports for one cell."""
+    return FAILURES[failure[index]].exception(
+        {name: column[index].item() for name, column in values.items()}
+    )
+
+
+def assert_grid_matches_scalar_path(cells, failure, columns, values):
+    """Each cell of the grid is the scalar path's outcome: the same result
+    bits, or the same error class and text."""
+    table = np.column_stack(columns)
+    for i, cell in enumerate(cells):
+        outcome = scalar_outcome(*cell)
+        if isinstance(outcome, ValueError):
+            assert failure[i] >= 0, cell
+            error = grid_error(failure, values, i)
+            assert (type(error), str(error)) == (type(outcome), str(outcome)), cell
+            assert np.isnan(table[i]).all(), cell
+            continue
+        assert failure[i] == -1, cell
+        expected = np.array(dataclasses.astuple(outcome))
+        assert expected.view(np.int64).tolist() == table[i].view(np.int64).tolist(), cell
 
 
 # Property tests: derandomized and without an example database, so every
@@ -414,21 +444,7 @@ def grid_cells(draw):
 # a one-ulp demand range, whose bisection leaves a residual above tolerance
 @example([(0.0, 5e-324, 5e-324, 1.0, 0.0, 1.0, 0.5)])
 def test_grid_solves_exactly_what_the_scalar_path_solves(cells):
-    solved, columns = balance_grid(*np.array(cells).T)
-    table = np.column_stack(columns)
-    for i, (mean, peak, agreed, c_en, c_co2, c_viol, satisfaction) in enumerate(cells):
-        try:
-            result = solve_balance(
-                DemandStats(mean, peak, agreed),
-                CostRates(c_en, c_co2, c_viol, satisfaction),
-            )
-        except (ValueError, ArithmeticError):
-            assert not solved[i], cells[i]
-            assert np.isnan(table[i]).all(), cells[i]
-            continue
-        assert solved[i], cells[i]
-        expected = np.array(dataclasses.astuple(result))
-        assert expected.view(np.int64).tolist() == table[i].view(np.int64).tolist(), cells[i]
+    assert_grid_matches_scalar_path(cells, *balance_grid(*np.array(cells).T))
 
 
 POSITIVE = st.floats(1e-6, 1e6)
@@ -453,7 +469,7 @@ def test_solved_level_lies_in_demand_range(
     stats = DemandStats(mean, peak, agreed)
     try:
         r = solve_balance(stats, CostRates(c_en, c_co2, c_viol, satisfaction)).r_provisioned
-    except (DegenerateCosts, NoRootInRange, ArithmeticError):
+    except (DegenerateCosts, NoRootInRange):
         return  # not solved
     assert mean <= r <= peak
     if satisfaction == 0.0 and peak > 0.0:

@@ -1,21 +1,27 @@
 """CLI workflows end to end: exit codes, report files, schemas, and the
 strict scenario echo."""
 
+import contextlib
 import csv
 import io
 import itertools
 import json
+import tempfile
 import textwrap
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import jsonschema
 import pytest
+import yaml
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import numpy as np
 
 from greenprov import DemandStats, CostRates, balance_closed_form, solve_balance
-from greenprov.cli import _ROW_BLOCK, _csv_field, _fmt, main
+from greenprov.cli import _ROW_BLOCK, SWEEP_PARAMS, _csv_field, _fmt, main
 from greenprov.config import build_scenario, load_config, scenario_from_dict
 from greenprov.demand import FAMILIES
 from greenprov.schemas import (
@@ -60,6 +66,14 @@ market:
   accounts:
     - {name: dc-east, cap_kg: 100000, emissions_kg: 120000}
     - {name: dc-west, cap_kg: 50000, emissions_kg: 50000}
+"""
+
+
+# Stats and rates whose bisection cannot bring the residual within
+# tolerance (4.9e-324 is the smallest subnormal).
+RESIDUAL = """
+stats: {mean_demand: 0.0, max_demand: 4.9e-324, r_agreed: 4.9e-324}
+rates: {c_en: 1, c_co2: 0, c_viol: 1, satisfaction: 0.5}
 """
 
 
@@ -140,6 +154,14 @@ class TestBalanceCommand:
             """,
         )
         assert main(["balance", path]) == 2
+
+    def test_residual_above_tolerance_exit_two(self, tmp_path, capsys):
+        # a one-ulp demand range: bisection leaves a residual above tolerance
+        path = write(tmp_path, RESIDUAL)
+        assert main(["balance", path]) == 2
+        assert capsys.readouterr().err == (
+            "solver error: bisection residual -1.5 exceeds tolerance 2.5e-09\n"
+        )
 
     @pytest.mark.parametrize("extra", ["", "max_method: mean_plus_variance"])
     @pytest.mark.parametrize("mu_log", [400, 800])
@@ -440,6 +462,17 @@ class TestSweepCommand:
         )
         assert main(["sweep", path, "--param", "c_viol=0:0:1"]) == 2
 
+    def test_residual_above_tolerance_is_an_error_row(self, tmp_path, capsys):
+        path = write(tmp_path, RESIDUAL)
+        out = tmp_path / "out"
+        assert main(["sweep", path, "--output", str(out), "--param", "c_en=1:2:2"]) == 2
+        assert capsys.readouterr().err == ""
+        errors = [row[-1] for row in read_csv(out / "sweep.csv")[1:]]
+        assert errors == [
+            "bisection residual -1.5 exceeds tolerance 2.5e-09",
+            "bisection residual -1.5 exceeds tolerance 3.5e-09",
+        ]
+
 
 SWEEP_INPUTS = ("mean_demand", "max_demand", "r_agreed", "c_en", "c_co2", "c_viol")
 
@@ -507,6 +540,27 @@ class TestSweepMatchesPerCellLoop:
                       "both cost channels are zero"):
             assert error in text
 
+    @pytest.mark.parametrize("satisfaction,params,errors", [
+        # a mean of -0.0 passes, and its text keeps the sign
+        (0.0, ["mean_demand=-10:-0:2", "max_demand=-1:120:3", "r_agreed=0:100:2",
+               "c_en=-1:1:3", "c_co2=0:inf:2", "c_viol=0:1e308:2"],
+         ["mean_demand must be >= 0", "max_demand (-1.0) < mean_demand (-0.0)",
+          "r_agreed must be positive",
+          "exceeds r_agreed", "c_en must be finite and >= 0, got -1.0",
+          "c_co2 must be finite and >= 0, got inf", "both cost channels are zero",
+          "cost weights overflow"]),
+        (0.5, ["mean_demand=0:40:2", "max_demand=5e-324:80:2", "r_agreed=5e-324:100:2",
+               "c_en=1:2:2"],
+         ["< mean_demand", "exceeds r_agreed", "does not cross zero",
+          "bisection residual"]),
+    ], ids=["closed-form", "bisection"])
+    def test_every_failure_reason(self, tmp_path, satisfaction, params, errors):
+        text = self.run(tmp_path, satisfaction, params)
+        rows = list(csv.reader(io.StringIO(text)))[1:]
+        assert "" in (row[-1] for row in rows)  # some cells solve
+        for error in errors:
+            assert any(error in row[-1] for row in rows), error
+
     def test_surcharge_bisection(self, tmp_path):
         # c_en = 0.5 puts the root exactly on max_demand; others have none
         text = self.run(tmp_path, 0.2, [
@@ -555,6 +609,84 @@ class TestSweepMatchesPerCellLoop:
             tracemalloc.stop()
         assert code == 0
         assert peak < 8 * 2**20
+
+
+# Grid bounds and counts as a user might type them: mostly numbers, with
+# non-finite and out-of-range spellings and junk.  Counts stay small or
+# beyond numpy's size limit, so no example allocates a large grid.
+NUMBER = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 40.0, 80.0, 100.0, 5e-324, 1e308]),
+                   st.floats(-1.0, 200.0), st.floats())
+BOUND_TEXT = st.one_of(
+    NUMBER.map(repr), NUMBER.map(repr), NUMBER.map(repr),
+    st.sampled_from(["-1e308", "1e999", "inf", "-inf", "nan", "", "x", " 1"]),
+    st.text(max_size=4),
+)
+COUNT_TEXT = st.one_of(
+    st.integers(1, 4).map(str), st.integers(1, 4).map(str),
+    st.sampled_from(["0", "-1", "", "1.5", "x", str(2**63 - 1), str(2**63), str(2**64)]),
+)
+
+
+@st.composite
+def param_texts(draw):
+    """One --param value: mostly name=start:stop:count, sometimes any text."""
+    if draw(st.integers(0, 19)) == 0:
+        return draw(st.text(max_size=12))
+    name = draw(st.one_of(st.sampled_from(SWEEP_PARAMS),
+                          st.sampled_from(["nope", "satisfaction", ""])))
+    start, stop, count = draw(BOUND_TEXT), draw(BOUND_TEXT), draw(COUNT_TEXT)
+    return f"{name}={start}:{stop}:{count}"
+
+
+@st.composite
+def param_lists(draw):
+    """The --param values of one sweep: half of them well-formed grids over
+    distinct inputs (whose bounds may still be non-finite)."""
+    if draw(st.booleans()):
+        return draw(st.lists(param_texts(), max_size=3))
+    names = draw(st.lists(st.sampled_from(SWEEP_PARAMS), min_size=1, max_size=3, unique=True))
+    return [f"{name}={draw(NUMBER)!r}:{draw(NUMBER)!r}:{draw(st.integers(1, 4))}"
+            for name in names]
+
+
+@st.composite
+def stats_triples(draw):
+    """mean_demand, max_demand and r_agreed; half of them sorted and signless,
+    so that many pass validation."""
+    triple = [draw(NUMBER) for _ in range(3)]
+    if draw(st.booleans()):
+        triple = sorted(abs(x) for x in triple)
+    return triple
+
+
+# Derandomized and without an example database, so every run checks the
+# same inputs.  Each example writes into a new directory under tmp_path:
+# truncating a file just written can wait tens of ms for its writeback.
+@settings(derandomize=True, database=None, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    params=param_lists(),
+    stats=stats_triples(),
+    satisfaction=st.sampled_from([0.0, 0.05, 0.5]),
+)
+@example(params=[f"c_en=0:1:{2**63}"], stats=(40.0, 80.0, 100.0), satisfaction=0.0)
+@example(params=["c_en=1:2:2"], stats=(0.0, 5e-324, 5e-324), satisfaction=0.5)
+def test_sweep_exits_cleanly_on_any_params_and_stats(tmp_path, params, stats, satisfaction):
+    document = {
+        "stats": dict(zip(("mean_demand", "max_demand", "r_agreed"), stats)),
+        "rates": {"c_en": 1.5, "c_co2": 0.5, "c_viol": 1.0, "satisfaction": satisfaction},
+    }
+    directory = Path(tempfile.mkdtemp(dir=tmp_path))
+    path = directory / "scenario.yaml"
+    path.write_text(yaml.safe_dump(document), encoding="utf-8")
+    argv = ["sweep", str(path), "--output", str(directory / "out")]
+    for text in params:
+        argv += ["--param", text]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert len(err.getvalue().splitlines()) <= 1 and "Traceback" not in err.getvalue()
 
 
 class TestUsage:

@@ -1,9 +1,11 @@
-"""No workflow loads a scipy module.
+"""No workflow loads a module it does not need.
 
 greenprov depends on numpy and PyYAML only: importing it, building and
 sampling the truncated-normal and lognormal families, and the CLI's
 ``balance``, ``sweep`` and truncated-normal ``simulate --trace`` leave no
-``scipy*`` module in sys.modules.
+``scipy*`` module in sys.modules.  A sweep with error rows leaves no
+``numpy.ma*`` module either: numpy loads it lazily (``np.unique`` does),
+and it costs about 1.4 MB of resident memory.
 Each check runs in its own interpreter, since this one may have scipy
 loaded by another test dependency.
 """
@@ -23,12 +25,13 @@ SRC = str(Path(greenprov.__file__).resolve().parents[1])
 
 REPORT = """
 import json, sys
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(sys.modules)))
 """
 
 
-def scipy_modules(code: str) -> list[str]:
-    """scipy modules loaded after running code in a fresh interpreter."""
+def modules_loaded(code: str, package: str) -> list[str]:
+    """Modules of package (a dotted name) loaded after running code in a
+    fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     done = subprocess.run(
@@ -36,7 +39,13 @@ def scipy_modules(code: str) -> list[str]:
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout.splitlines()[-1])
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    return [m for m in loaded if m == package or m.startswith(package + ".")]
+
+
+def scipy_modules(code: str) -> list[str]:
+    """scipy modules loaded after running code in a fresh interpreter."""
+    return modules_loaded(code, "scipy")
 
 
 def write(tmp_path, text: str) -> str:
@@ -106,4 +115,25 @@ def test_simulate_trace_loads_no_scipy(tmp_path):
         with contextlib.redirect_stdout(io.StringIO()):
             assert main({args!r}) == 0
     """)
+    assert loaded == []
+
+
+def test_sweep_with_error_rows_loads_no_numpy_ma(tmp_path):
+    # mean_demand runs past max_demand and the surcharge leaves some cells
+    # without a root: InvalidStats and NoRootInRange rows beside solved ones
+    path = write(
+        tmp_path,
+        "stats: {mean_demand: 40, max_demand: 80, r_agreed: 100}\n"
+        "rates: {c_en: 1.5, c_co2: 0.5, c_viol: 1.0, satisfaction: 0.05}\n",
+    )
+    args = ["sweep", path, "--output", str(tmp_path / "out"),
+            "--param", "mean_demand=0:100:21", "--param", "c_en=0:2:5"]
+    loaded = modules_loaded(f"""
+        import contextlib, io
+        from greenprov.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main({args!r}) == 0
+        text = open({str(tmp_path / "out" / "sweep.csv")!r}).read()
+        assert "< mean_demand" in text and "does not cross zero" in text
+    """, "numpy.ma")
     assert loaded == []
