@@ -30,13 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .balance import FAILURES, balance_grid, solve_balance
-from .config import (
-    build_scenario,
-    load_config,
-    rates_to_dict,
-    scenario_to_dict,
-    stats_to_dict,
-)
+from .config import build_scenario, load_config, scenario_to_dict
 from .errors import (
     ConfigError,
     DegenerateCosts,
@@ -189,8 +183,8 @@ def cmd_balance(args) -> int:
     result = solve_balance(stats, rates)
     text = _json_record(
         {
-            "stats": stats_to_dict(stats),
-            "rates": rates_to_dict(rates),
+            "stats": dataclasses.asdict(stats),
+            "rates": dataclasses.asdict(rates),
             "result": dataclasses.asdict(result),
         }
     )
@@ -307,14 +301,7 @@ def cmd_sweep(args) -> int:
     grids = dict(_parse_param(text, seen) for text in args.param)
     names = sorted(grids)
 
-    base = {
-        "mean_demand": stats.mean_demand,
-        "max_demand": stats.max_demand,
-        "r_agreed": stats.r_agreed,
-        "c_en": rates.c_en,
-        "c_co2": rates.c_co2,
-        "c_viol": rates.c_viol,
-    }
+    base = vars(stats) | vars(rates)
     # Cells run in itertools.product order over the sorted names (the last
     # name varies fastest).
     shape = tuple(len(grids[name]) for name in names)

@@ -31,7 +31,7 @@ so a far-tail or narrow window keeps its variance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Sequence
 
@@ -57,6 +57,8 @@ DEFAULT_QUANTILE = 0.99
 _SQRT_HALF = math.sqrt(0.5)
 _NODES = 64  # Gauss-Legendre nodes per side of a truncated-normal window
 _LOG_MIN = math.log(5e-324)  # log of the smallest positive float
+_NARROW = 2.2250738585072014e-308  # narrowest window, in sigmas: the smallest normal float
+_FAR = 1e154  # farthest window end, in sigmas, whose square is a float
 
 
 def _finite(*xs: float) -> bool:
@@ -121,6 +123,18 @@ class DemandProfile:
         if self.kind == LOGNORMAL:
             return self._lognorm_variance()
         return float(np.var(self._observed))
+
+    def clamped_mean(self, r: float) -> float:
+        """E[min(demand, r)]: (1 - p) E[demand | demand <= r] + p r, p = P(demand > r)."""
+        if self.kind == EMPIRICAL:
+            return float(np.mean(np.minimum(self._observed, r)))
+        p = self.tail_probability(r)
+        if p == 0.0:
+            return self.mean()
+        if p == 1.0:
+            return r
+        # demand below r follows the profile truncated at r, which p < 1 keeps nonempty
+        return (1.0 - p) * replace(self, upper=r).mean() + p * r
 
     def max_estimate(self, method: str = DEFAULT_MAX, q: float = DEFAULT_QUANTILE) -> float:
         """Estimate of the demand maximum.
@@ -208,7 +222,8 @@ class DemandProfile:
         """Mean and variance of a truncated normal, from :func:`_tn_nodes`."""
         a, b, width = self._tn_window()
         x0, y, w = _tn_nodes(a, b, width)
-        anchor = self.lower if x0 == a else self.upper if x0 == b else self.mu
+        # the end _tn_nodes took as x0 (a == b when rounding makes the window a point)
+        anchor = self.lower if a >= 0.0 else self.upper if b <= 0.0 else self.mu
         total = w.sum()
         shift = float(np.dot(w, y) / total)
         spread = float(np.dot(w, (y - shift) ** 2) / total)
@@ -380,7 +395,7 @@ def _log_ndtr_ratio(x: float, y: float, width: float) -> float:
     precision however deep or close x and y are (a difference of two
     _log_ndtr values loses |t|**2 ulps).
     """
-    if x == y:
+    if width == 0.0:  # not x == y: rounding can make a window of width > 0 a point
         return 0.0
     if x > 0.0 or y > 0.0:  # one log Phi is within log 2 of 0: no cancellation
         return _log_ndtr(x) - _log_ndtr(y)
@@ -565,6 +580,15 @@ def make_profile(kind: str, params: Sequence[float], resource_unit: str = "") ->
             raise InvalidDistribution("demand cannot be negative: lower >= 0 required")
         if upper <= lower:
             raise InvalidDistribution(f"truncation requires upper > lower, got [{lower}, {upper}]")
+        # the window in units of sigma: wide enough that its quadrature
+        # weights do not underflow, and its end nearest mu near enough that
+        # its square is a float
+        width, near = (upper - lower) / sigma, max((lower - mu) / sigma, (mu - upper) / sigma, 0.0)
+        if not (width >= _NARROW and near <= _FAR):
+            raise InvalidDistribution(
+                f"truncation window [{lower}, {upper}] is too narrow or too far from mu "
+                f"for sigma {sigma}"
+            )
         return DemandProfile(
             TRUNCATED_NORMAL, lower=lower, upper=upper, mu=mu, sigma=sigma,
             resource_unit=resource_unit,

@@ -5,9 +5,16 @@ import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 _HYPOTHESIS_HOME = pytest.StashKey[Path]()
+
+# Property tests are derandomized and keep no example database, so every
+# run checks the same inputs and writes nothing; a test sets only its
+# example count and health-check overrides on top of this profile.
+settings.register_profile("greenprov", derandomize=True, database=None, deadline=None)
+settings.load_profile("greenprov")
 
 
 def pytest_configure(config):

@@ -406,9 +406,7 @@ def assert_grid_matches_scalar_path(cells, failure, columns, values):
         assert expected.view(np.int64).tolist() == table[i].view(np.int64).tolist(), cell
 
 
-# Property tests: derandomized and without an example database, so every
-# run checks the same inputs and writes nothing.
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+PROPERTY = settings(max_examples=300)
 
 # Any float (subnormals, +-0, +-inf, NaN included), special values drawn
 # often, and plain demand-sized values.

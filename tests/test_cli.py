@@ -659,11 +659,9 @@ def stats_triples(draw):
     return triple
 
 
-# Derandomized and without an example database, so every run checks the
-# same inputs.  Each example writes into a new directory under tmp_path:
-# truncating a file just written can wait tens of ms for its writeback.
-@settings(derandomize=True, database=None, deadline=None, max_examples=300,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+# Each example writes into a new directory under tmp_path: truncating a
+# file just written can wait tens of ms for its writeback.
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     params=param_lists(),
     stats=stats_triples(),

@@ -1,19 +1,33 @@
-"""Strict YAML config parsing, seed precedence, and the scenario echo
-round trip."""
+"""Strict YAML config parsing, its exact error texts, derived and clamped
+stats, seed precedence, the scenario echo round trip, and arbitrary
+documents."""
 
+import contextlib
+import io
+import json
+import math
+import tempfile
 import textwrap
+from pathlib import Path
 
+import mpmath
 import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from greenprov import ConfigError, Policy, make_profile
 from greenprov.cli import main
 from greenprov.config import (
+    MAX_METHODS,
     build_scenario,
     load_config,
     parse_document,
     scenario_from_dict,
     scenario_to_dict,
 )
+from greenprov.demand import FAMILIES
+from greenprov.simulate import POLICY_KINDS
 
 FULL_CONFIG = """
 demand:
@@ -360,11 +374,49 @@ class TestRoundTrip:
               carbon_intensity: 0.4
               clamp_demand_to_agreed: true
             """,
+            """
+            demand: {kind: lognormal, mu_log: 3.0, sigma_log: 0.4}
+            stats: {r_agreed: 100, max_demand: 80}
+            rates: {c_en: 1, c_co2: 0, c_viol: 1}
+            policy: {kind: fixed_agreed}
+            simulation: {steps: 2, replications: 1, seed: 1, energy_full: 1, carbon_intensity: 0}
+            """,
+            """
+            demand: {kind: lognormal, mu_log: 3.0, sigma_log: 0.4, upper: 90, resource_unit: GB}
+            stats: {r_agreed: 100}
+            rates: {c_en: 1, c_co2: 0.5, c_viol: 1}
+            policy: {kind: mean_follow}
+            simulation: {steps: 2, replications: 3, seed: 0, energy_full: 1, carbon_intensity: 0.2}
+            """,
+            """
+            demand: {kind: truncated_normal, mu: 40, sigma: 15, upper: 90}
+            stats: {r_agreed: 100, max_method: quantile, quantile: 0.9}
+            rates: {c_en: 1, c_co2: 0.5, c_viol: 1, satisfaction: 0.25}
+            policy: {kind: balance}
+            simulation: {steps: 2, replications: 1, seed: 18446744073709551615,
+                         energy_full: 1, carbon_intensity: 0.2}
+            """,
+            """
+            demand: {kind: uniform, lower: 10, upper: 120}
+            stats: {r_agreed: 100}
+            rates: {c_en: 2, c_co2: 0, c_viol: 3}
+            policy: {kind: balance_band, x_percent: 0}
+            simulation:
+              steps: 2
+              replications: 1
+              seed: 3
+              energy_full: 1
+              carbon_intensity: 0.2
+              clamp_demand_to_agreed: true
+            """,
         ]
+        kinds = set()
         for i, doc in enumerate(documents):
             path = write_config(tmp_path, doc, name=f"rt_{i}.yaml")
             scenario = build_scenario(load_config(path))
             assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
+            kinds |= {scenario.profile.kind, scenario.policy.kind}
+        assert kinds == set(FAMILIES) | set(POLICY_KINDS)
 
     def test_echo_dict_is_strictly_parseable(self, full_config):
         scenario = build_scenario(load_config(full_config))
@@ -373,3 +425,401 @@ class TestRoundTrip:
         echoed["stats"]["surprise"] = 1
         with pytest.raises(ConfigError):
             parse_document(echoed)
+
+
+# -- exact error texts ------------------------------------------------------
+
+ONE_ACCOUNT = [{"name": "a", "cap_kg": 1, "emissions_kg": 2}]
+SECTIONS = {
+    "demand": {"kind": "uniform", "lower": 0, "upper": 80},
+    "stats": {"r_agreed": 100},
+    "rates": {"c_en": 1.5, "c_co2": 0.5, "c_viol": 1.0},
+    "policy": {"kind": "balance"},
+    "simulation": {"steps": 5, "replications": 1, "seed": 1, "energy_full": 1.0,
+                   "carbon_intensity": 0.5},
+    "market": {"price_per_kg": 0.01, "accounts": ONE_ACCOUNT},
+}
+ABSENT = object()
+UNIFORM_120 = {"kind": "uniform", "lower": 0, "upper": 120}
+
+
+def amended(section, **changes):
+    """The valid section with keys changed (to ABSENT: removed)."""
+    out = dict(SECTIONS[section], **changes)
+    return {key: value for key, value in out.items() if value is not ABSENT}
+
+
+def invalid(path, problem):
+    return f"invalid value at {path}: {problem}", path
+
+
+def missing(path):
+    return f"missing key: {path}", path
+
+
+def unknown(path):
+    return f"unknown key: {path}", path
+
+
+REAL, FINITE = "expected a real number", "must be finite"
+
+# (sections replacing the valid ones, ABSENT removing one; message; path)
+ERROR_TEXTS = [
+    ({"bogus": 1}, *unknown("bogus")),
+    ({7: {}}, *invalid("config", "non-string key 7")),
+    *(
+        case
+        for section in SECTIONS
+        for case in (
+            ({section: [1]}, *invalid(section, "expected a mapping")),
+            ({section: {None: 1}}, *invalid(section, "non-string key None")),
+            ({section: dict(SECTIONS[section], color=1)}, *unknown(f"{section}.color")),
+        )
+    ),
+    # demand: kind first, then unknown keys, resource_unit, the parameters
+    ({"demand": {"color": 1}}, *missing("demand.kind")),
+    ({"demand": {"kind": 3}}, *invalid("demand.kind", "expected a string")),
+    ({"demand": {"kind": "pareto"}}, *invalid(
+        "demand.kind",
+        "unknown family 'pareto' (expected one of uniform, truncated_normal, lognormal, "
+        "empirical)")),
+    ({"demand": amended("demand", lower="x", mu=1)}, *unknown("demand.mu")),
+    ({"demand": amended("demand", resource_unit=5, lower="x")},
+     *invalid("demand.resource_unit", "expected a string")),
+    ({"demand": amended("demand", lower=ABSENT, upper="x")}, *missing("demand.lower")),
+    ({"demand": amended("demand", upper=True)}, *invalid("demand.upper", REAL)),
+    ({"demand": amended("demand", upper=math.inf)}, *invalid("demand.upper", FINITE)),
+    ({"demand": {"kind": "truncated_normal", "mu": 1, "lower": "x"}}, *missing("demand.sigma")),
+    ({"demand": {"kind": "truncated_normal", "mu": 1, "sigma": 1, "lower": "x"}},
+     *invalid("demand.lower", REAL)),
+    ({"demand": {"kind": "truncated_normal", "mu": 1, "sigma": 1}}, *missing("demand.upper")),
+    ({"demand": {"kind": "lognormal", "mu_log": None}}, *invalid("demand.mu_log", REAL)),
+    ({"demand": {"kind": "lognormal", "mu_log": 1, "sigma_log": 1, "upper": "x"}},
+     *invalid("demand.upper", REAL)),
+    ({"demand": {"kind": "empirical"}}, *missing("demand.values")),
+    ({"demand": {"kind": "empirical", "values": "30 50"}},
+     *invalid("demand.values", "expected a list")),
+    ({"demand": {"kind": "empirical", "values": [1, False]}}, *invalid("demand.values[1]", REAL)),
+    ({"demand": {"kind": "empirical", "values": [1, math.nan]}},
+     *invalid("demand.values[1]", FINITE)),
+    ({"demand": amended("demand", lower=80, upper=0)},
+     *invalid("demand", "uniform requires lower < upper, got [80.0, 0.0]")),
+    # stats: max_method first; derived values after every section is read
+    ({"stats": {"max_method": "mode"}}, *invalid(
+        "stats.max_method", "expected one of mean_plus_variance, true_upper_bound, quantile")),
+    ({"stats": {"max_method": 1}}, *invalid("stats.max_method", "expected a string")),
+    ({"stats": {"mean_demand": "x"}}, *missing("stats.r_agreed")),
+    ({"stats": {"r_agreed": "plenty"}}, *invalid("stats.r_agreed", REAL)),
+    ({"stats": {"r_agreed": 100, "mean_demand": -math.inf}}, *invalid("stats.mean_demand", FINITE)),
+    ({"stats": {"r_agreed": 100, "max_demand": [80]}}, *invalid("stats.max_demand", REAL)),
+    ({"stats": {"r_agreed": 100, "quantile": True}}, *invalid("stats.quantile", REAL)),
+    ({"stats": ABSENT}, *missing("stats")),
+    ({"demand": ABSENT}, "missing key: stats.mean_demand (no demand section to derive it from)",
+     "stats.mean_demand"),
+    ({"demand": ABSENT, "stats": {"r_agreed": 100, "mean_demand": 40}},
+     "missing key: stats.max_demand (no demand section to derive it from)", "stats.max_demand"),
+    ({"demand": {"kind": "lognormal", "mu_log": 709.8, "sigma_log": 1}},
+     *invalid("demand", "lognormal moment 1 overflows (mu_log=709.8, sigma_log=1.0)")),
+    ({"demand": {"kind": "lognormal", "mu_log": 3, "sigma_log": 1},
+      "stats": {"r_agreed": 100, "max_method": "true_upper_bound"}},
+     *invalid("stats.max_method", "untruncated lognormal demand has no finite upper bound")),
+    ({"stats": {"r_agreed": 100, "max_method": "quantile", "quantile": 1.5}},
+     *invalid("stats.max_method", "quantile level must be in (0, 1), got 1.5")),
+    ({"demand": UNIFORM_120}, *invalid(
+        "stats", "max_demand (120.0) exceeds r_agreed (100.0); "
+        "clamp demand at the scenario level if this is intended")),
+    # rates
+    ({"rates": amended("rates", c_co2=ABSENT)}, *missing("rates.c_co2")),
+    ({"rates": amended("rates", c_viol="1")}, *invalid("rates.c_viol", REAL)),
+    ({"rates": amended("rates", satisfaction=math.nan)}, *invalid("rates.satisfaction", FINITE)),
+    ({"rates": amended("rates", c_en=-1)},
+     *invalid("rates", "c_en must be finite and >= 0, got -1.0")),
+    # policy: kind first
+    ({"policy": {}}, *missing("policy.kind")),
+    ({"policy": {"kind": None}}, *invalid("policy.kind", "expected a string")),
+    ({"policy": {"kind": "greedy"}}, *invalid(
+        "policy.kind",
+        "unknown policy 'greedy' (expected one of fixed_agreed, mean_follow, balance, "
+        "balance_band, fixed_level)")),
+    ({"policy": {"kind": "balance", "level": 3}}, *unknown("policy.level")),
+    ({"policy": {"kind": "balance_band"}}, *missing("policy.x_percent")),
+    ({"policy": {"kind": "fixed_level", "level": "high"}}, *invalid("policy.level", REAL)),
+    ({"policy": {"kind": "balance_band", "x_percent": 1.5}},
+     *invalid("policy", "balance_band needs x_percent in [0, 1), got 1.5")),
+    # simulation
+    ({"simulation": amended("simulation", steps=ABSENT, replications="x")},
+     *missing("simulation.steps")),
+    ({"simulation": amended("simulation", steps=1.5)},
+     *invalid("simulation.steps", "expected an integer")),
+    ({"simulation": amended("simulation", replications=True)},
+     *invalid("simulation.replications", "expected an integer")),
+    ({"simulation": amended("simulation", energy_full="x")},
+     *invalid("simulation.energy_full", REAL)),
+    ({"simulation": amended("simulation", carbon_intensity=-math.inf)},
+     *invalid("simulation.carbon_intensity", FINITE)),
+    ({"simulation": amended("simulation", seed="x")},
+     *invalid("simulation.seed", "expected an integer")),
+    ({"simulation": amended("simulation", seed=-1)},
+     *invalid("simulation.seed", "seed must be an unsigned 64-bit integer")),
+    ({"simulation": amended("simulation", seed=2**64)},
+     *invalid("simulation.seed", "seed must be an unsigned 64-bit integer")),
+    ({"simulation": amended("simulation", clamp_demand_to_agreed="yes")},
+     *invalid("simulation.clamp_demand_to_agreed", "expected true/false")),
+    ({"simulation": amended("simulation", seed=ABSENT)},
+     "missing key: simulation.seed (set it or pass --seed)", "simulation.seed"),
+    ({"simulation": amended("simulation", steps=0)},
+     *invalid("simulation", "steps must be >= 1, got 0")),
+    ({"policy": ABSENT}, *missing("policy")),
+    # market
+    ({"market": {"accounts": ONE_ACCOUNT}}, *missing("market.price_per_kg")),
+    ({"market": {"price_per_kg": "x"}}, *invalid("market.price_per_kg", REAL)),
+    ({"market": {"price_per_kg": 1}}, *missing("market.accounts")),
+    ({"market": {"price_per_kg": 1, "accounts": []}},
+     *invalid("market.accounts", "expected a nonempty list")),
+    ({"market": {"price_per_kg": 1, "accounts": {"name": "a"}}},
+     *invalid("market.accounts", "expected a nonempty list")),
+    ({"market": {"price_per_kg": 1, "accounts": [*ONE_ACCOUNT, 3]}},
+     *invalid("market.accounts[1]", "expected a mapping")),
+    ({"market": {"price_per_kg": 1, "accounts": [{"name": "a", "color": 1}]}},
+     *unknown("market.accounts[0].color")),
+    ({"market": {"price_per_kg": 1, "accounts": [{"cap_kg": 1}]}},
+     *missing("market.accounts[0].name")),
+    ({"market": {"price_per_kg": 1, "accounts": [{"name": 5}]}},
+     *invalid("market.accounts[0].name", "expected a string")),
+    ({"market": {"price_per_kg": 1, "accounts": [{"name": "a", "cap_kg": "x"}]}},
+     *invalid("market.accounts[0].cap_kg", REAL)),
+    ({"market": {"price_per_kg": 1, "accounts": [{"name": "a", "cap_kg": 1}]}},
+     *missing("market.accounts[0].emissions_kg")),
+    ({"market": {"price_per_kg": 1, "accounts": [{"name": "", "cap_kg": 1, "emissions_kg": 1}]}},
+     *invalid("market.accounts[0]", "account name must be nonempty")),
+]
+
+
+def first_error(document):
+    """Parse, derive the stats as `balance` does, and build the scenario."""
+    parsed = parse_document(document)
+    parsed.stats()
+    build_scenario(parsed)
+
+
+@pytest.mark.parametrize(
+    "changes, message, path", ERROR_TEXTS, ids=[case[1] for case in ERROR_TEXTS]
+)
+def test_error_text_and_path(changes, message, path):
+    document = {**SECTIONS, **changes}
+    document = {key: value for key, value in document.items() if value is not ABSENT}
+    with pytest.raises(ConfigError) as err:
+        first_error(document)
+    assert (str(err.value), err.value.path) == (message, path)
+
+
+def test_document_must_be_a_mapping():
+    for document in ([], "demand", 3):
+        with pytest.raises(ConfigError) as err:
+            parse_document(document)
+        assert (str(err.value), err.value.path) == ("invalid value at config: expected a mapping",
+                                                    "config")
+
+
+# -- stats of demand clamped at r_agreed ---------------------------------------
+
+CLAMPED_SIMULATION = dict(SECTIONS["simulation"], clamp_demand_to_agreed=True)
+
+
+def mp_clamped_mean(survival, r):
+    """E[min(D, r)] as the integral of P(D > x) over [0, r], in mpmath."""
+    with mpmath.workdps(30):
+        return float(mpmath.quad(survival, [0, r]))
+
+
+def tn_survival(mu, sigma, lower, upper):
+    lo, hi = mpmath.ncdf((lower - mu) / sigma), mpmath.ncdf((upper - mu) / sigma)
+    return lambda x: 1 if x <= lower else (hi - mpmath.ncdf((x - mu) / sigma)) / (hi - lo)
+
+
+@pytest.mark.parametrize(
+    "demand, mean",
+    [
+        (UNIFORM_120, 175 / 3),
+        ({"kind": "truncated_normal", "mu": 80, "sigma": 30, "upper": 150},
+         mp_clamped_mean(tn_survival(80, 30, 0, 150), 100)),
+        ({"kind": "lognormal", "mu_log": 4, "sigma_log": 0.5},
+         mp_clamped_mean(lambda x: mpmath.ncdf(-(mpmath.log(x) - 4) / 0.5), 100)),
+        ({"kind": "empirical", "values": [30, 50, 110, 130]}, 70.0),
+    ],
+    ids=FAMILIES,
+)
+def test_clamp_derives_the_stats_of_clamped_demand(demand, mean):
+    document = {"demand": demand, "stats": {"r_agreed": 100}, "simulation": CLAMPED_SIMULATION}
+    stats = parse_document(document).stats()
+    assert stats.mean_demand == pytest.approx(mean, rel=1e-12)
+    assert stats.max_demand == 100.0
+    # without the clamp the same document exceeds r_agreed
+    with pytest.raises(ConfigError, match="exceeds r_agreed"):
+        parse_document({**document, "simulation": SECTIONS["simulation"]}).stats()
+
+
+def test_clamp_keeps_explicit_stats_and_a_support_within_r_agreed():
+    plain = parse_document({"demand": SECTIONS["demand"], "stats": {"r_agreed": 100}})
+    clamped = parse_document({"demand": SECTIONS["demand"], "stats": {"r_agreed": 100},
+                              "simulation": CLAMPED_SIMULATION})
+    assert clamped.stats() == plain.stats()
+    explicit = {"r_agreed": 100, "mean_demand": 70, "max_demand": 90}
+    clamped = parse_document({"demand": UNIFORM_120, "stats": explicit,
+                              "simulation": CLAMPED_SIMULATION})
+    assert (clamped.stats().mean_demand, clamped.stats().max_demand) == (70.0, 90.0)
+
+
+def test_clamped_config_runs_balance_and_simulate(tmp_path, capsys):
+    path = write_config(
+        tmp_path,
+        """
+        demand: {kind: uniform, lower: 0, upper: 120}
+        stats: {r_agreed: 100}
+        rates: {c_en: 1.5, c_co2: 0.5, c_viol: 1.0}
+        policy: {kind: balance}
+        simulation:
+          steps: 50
+          replications: 1
+          seed: 5
+          energy_full: 2.0
+          carbon_intensity: 0.5
+          clamp_demand_to_agreed: true
+        """,
+    )
+    out = tmp_path / "out"
+    assert main(["balance", path, "--output", str(out)]) == 0
+    assert main(["simulate", path, "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    balance = json.loads((out / "balance.json").read_text())
+    report = json.loads((out / "report.json").read_text())
+    for stats in (balance["stats"], report["scenario"]["stats"]):
+        assert stats["mean_demand"] == pytest.approx(175 / 3, rel=1e-15)
+        assert stats["max_demand"] == 100.0
+
+
+# -- arbitrary documents ------------------------------------------------------
+
+# Every key a config knows: per section, and per kind of demand and policy.
+SECTION_KEYS = {
+    "stats": ["max_method", "r_agreed", "mean_demand", "max_demand", "quantile"],
+    "rates": ["c_en", "c_co2", "c_viol", "satisfaction"],
+    "simulation": ["steps", "replications", "energy_full", "carbon_intensity", "seed",
+                   "clamp_demand_to_agreed"],
+    "market": ["price_per_kg", "accounts"],
+}
+KIND_KEYS = {
+    "demand": {"uniform": ["lower", "upper"], "truncated_normal": ["mu", "sigma", "lower", "upper"],
+               "lognormal": ["mu_log", "sigma_log", "upper"], "empirical": ["values"]},
+    "policy": {"balance_band": ["x_percent"], "fixed_level": ["level"]},
+}
+KINDS = {"demand": FAMILIES, "policy": POLICY_KINDS}
+ACCOUNT_KEYS = ["name", "cap_kg", "emissions_kg"]
+VOCABULARY = sorted(
+    {*SECTION_KEYS, *KIND_KEYS, *ACCOUNT_KEYS, "kind", "resource_unit"}.union(
+        *SECTION_KEYS.values(), *(keys for kinds in KIND_KEYS.values() for keys in kinds.values())
+    )
+)
+WORDS = st.sampled_from([*FAMILIES, *POLICY_KINDS, *MAX_METHODS, "default", "", "x"])
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 4),
+    st.sampled_from([2**63 - 1, 2**64 - 1, 2**64, -(2**63)]),
+    st.floats(), st.floats(0.0, 200.0), st.floats(0.0, 1.0), WORDS, st.text(max_size=3),
+)
+KEYS = st.one_of(st.sampled_from(VOCABULARY), st.sampled_from([None, 0, 1.5, True]))
+VALUES = st.recursive(
+    SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(KEYS, inner, max_size=3),
+    max_leaves=6,
+)
+# Values of the type and range a valid config holds: demand from LOW to
+# HIGH, agreed capacity HIGH, shares and quantiles from 0 to 1
+NUMBER = st.one_of(st.floats(0.0, 200.0), st.integers(0, 200), st.floats(0.0, 1.0))
+LOW, HIGH = st.floats(0.0, 60.0) | st.integers(0, 60), st.floats(60.0, 200.0) | st.integers(60, 200)
+# Keys a config may leave out
+OPTIONAL = {"resource_unit", "max_method", "mean_demand", "max_demand", "quantile",
+            "satisfaction", "seed", "clamp_demand_to_agreed"}
+
+
+@st.composite
+def mappings(draw, keys, typed):
+    """``keys`` with values of their type (``typed`` per key, else NUMBER);
+    an optional key half the time."""
+    return {key: draw(typed.get(key, NUMBER)) for key in keys
+            if key not in OPTIONAL or draw(st.booleans())}
+
+
+TYPED = {
+    **dict.fromkeys(["lower", "mean_demand", "mu"], LOW),
+    **dict.fromkeys(["upper", "max_demand", "r_agreed"], HIGH),
+    **dict.fromkeys(["quantile", "x_percent"], st.floats(0.0, 1.0)),
+    "values": st.lists(NUMBER, min_size=2, max_size=5),
+    "accounts": st.lists(mappings(ACCOUNT_KEYS, {"name": st.text(min_size=1, max_size=3)}),
+                         min_size=1, max_size=3),
+    "resource_unit": st.text(max_size=3),
+    "max_method": st.sampled_from([*MAX_METHODS, ""]),
+    "steps": st.integers(1, 5),
+    "replications": st.integers(1, 3),
+    "seed": st.integers(0, 2**64 - 1),
+    "clamp_demand_to_agreed": st.booleans(),
+}
+
+
+@st.composite
+def sections(draw, name):
+    """A section with all its keys (those of one kind for demand and policy)."""
+    if name not in KIND_KEYS:
+        return draw(mappings(SECTION_KEYS[name], TYPED))
+    kind = draw(st.sampled_from(KINDS[name]))
+    keys = ["kind", "resource_unit"] if name == "demand" else ["kind"]
+    return draw(mappings(keys + KIND_KEYS[name].get(kind, []), {**TYPED, "kind": st.just(kind)}))
+
+
+@st.composite
+def documents(draw):
+    """A config document: some of the sections, each complete and typed, then
+    a few keys anywhere removed or set to any value. Rarely any value at all."""
+    if draw(st.sampled_from([False] * 19 + [True])):
+        return draw(VALUES)
+    document = {name: draw(sections(name)) for name in (*KIND_KEYS, *SECTION_KEYS)
+                if draw(st.sampled_from([True] * 9 + [False]))}
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2, 3]))):
+        mappings_in = [document, *(v for v in document.values() if isinstance(v, dict))]
+        target = draw(st.sampled_from(mappings_in))
+        if target and draw(st.booleans()):
+            del target[draw(st.sampled_from(list(target)))]
+        else:
+            target[draw(KEYS)] = draw(VALUES | WORDS)
+    return document
+
+
+def is_short(document):
+    """Whether the document's simulation, if any, is short enough to run
+    here (a long one is no error)."""
+    sim = document.get("simulation") if isinstance(document, dict) else None
+    if not isinstance(sim, dict):
+        return True
+    return all(not isinstance(sim.get(key), int) or sim[key] <= 50
+               for key in ("steps", "replications"))
+
+
+# Each example writes into a new directory under tmp_path: truncating a
+# file just written can wait tens of ms for its writeback.
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(documents())
+def test_any_document_fails_only_with_a_config_error(tmp_path, document):
+    try:
+        parsed = parse_document(document)
+        parsed.stats()
+        build_scenario(parsed)
+    except ConfigError:
+        pass
+    directory = Path(tempfile.mkdtemp(dir=tmp_path))
+    path = directory / "scenario.yaml"
+    path.write_text(yaml.safe_dump(document, sort_keys=False), encoding="utf-8")
+    commands = ["balance", "etm"] + (["simulate"] if is_short(document) else [])
+    for command in commands:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, str(path), "--output", str(directory / "out")])
+        assert code in (0, 1, 2)
+        assert len(err.getvalue().splitlines()) <= 1 and "Traceback" not in err.getvalue()

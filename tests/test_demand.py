@@ -64,6 +64,36 @@ class TestMakeProfile:
         with pytest.raises(InvalidDistribution):
             make_profile("lognormal", [0, -0.5])
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            [50, 10, 0, 5e-324],  # 5e-325 sigma wide: no width in float
+            [0, 1, 0, 3e-323],  # a subnormal width: its quadrature weights underflow
+            [1e308, 10, 0, 100],  # 1e307 sigma below mu
+            [0, 5e-324, 0.5, 200],  # infinitely many sigma above mu
+        ],
+    )
+    def test_truncation_window_must_be_representable_in_sigmas(self, params):
+        # such windows had NaN moments and raised from tail probabilities
+        with pytest.raises(InvalidDistribution, match="too narrow or too far from mu"):
+            make_profile("truncated_normal", params)
+
+    def test_point_like_windows_keep_their_mass_at_the_near_end(self):
+        # 1e150 sigma below mu: every quantity sits at the upper end
+        profile = make_profile("truncated_normal", [1e150, 1, 0, 100])
+        assert (profile.mean(), profile.variance()) == (100.0, 0.0)
+        assert profile.tail_probability(50.0) == 1.0
+        assert profile.quantile(0.5) == 100.0
+        # a window whose ends round to one point in units of sigma
+        profile = make_profile("truncated_normal", [31, 1, 1, 1 + 1e-15])
+        assert profile.tail_probability(1 + 5e-16) == pytest.approx(0.6, rel=1e-12)
+        # (log r - mu_log) / sigma_log overflows for any r but exp(mu_log)
+        for params in ([1.0, 1e-309], [1.0, 1e-309, 62.0]):
+            profile = make_profile("lognormal", params)
+            assert profile.tail_probability(60.0) == 0.0
+            assert profile.tail_probability(2.0) == 1.0
+            assert profile.mean() == math.e
+
     def test_lognormal_truncation_must_be_positive(self):
         with pytest.raises(InvalidDistribution):
             make_profile("lognormal", [0, 0.5, 0])

@@ -2,9 +2,8 @@
 
 ``_erfcx`` and ``_log_ndtr`` (scalars) and ``_ndtri_exp`` (arrays) are
 compared with 60-digit mpmath values at fixed far-tail points and, through
-hypothesis, across their ranges.  The property tests are derandomized and
-keep no example database, so every run checks the same inputs and writes
-nothing.
+hypothesis, across their ranges (derandomized, with no example database:
+the profile in conftest.py).
 """
 
 import math
@@ -18,7 +17,7 @@ from hypothesis import strategies as st
 from greenprov.demand import _erfcx, _log_ndtr, _ndtri_exp
 
 EPS = 2.0**-52
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+PROPERTY = settings(max_examples=200)
 
 
 def mp_log_ndtr(x):
