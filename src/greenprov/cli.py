@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -34,6 +35,7 @@ from .config import build_scenario, load_config, scenario_to_dict
 from .errors import (
     ConfigError,
     DegenerateCosts,
+    NonFiniteResult,
     NonzeroSatisfaction,
     NoRootInRange,
     PolicyUnresolvable,
@@ -50,10 +52,9 @@ _SWEEP_INPUTS = SWEEP_HEADER[:6]
 # time, so the text of a table is never held whole.
 _ROW_BLOCK = 1 << 10
 
-# One % format per table row. Numbers never need CSV quoting; the sweep's
-# inputs and satisfaction arrive preformatted, and a solved row's error
-# field is empty.
-_TRACE_ROW = "%d,%d,%.12g,%.12g,%d,%.12g,%.12g,%.12g\n"
+# One % format per sweep row. Numbers never need CSV quoting; the inputs
+# and satisfaction arrive preformatted, and a solved row's error field is
+# empty.
 _SWEEP_ROW = "%s," * 7 + "%.12g," * 5 + "\n"
 
 
@@ -128,13 +129,17 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _write_text(path: Path, text: str):
+def _write_text(path: Path, texts):
+    """Write the strings ``texts`` to ``path`` as a new file."""
+    # Unlinking first replaces a link rather than writing through it, and
+    # spares a rerun the writeback wait that truncating a file can start.
+    path.unlink(missing_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+        handle.writelines(texts)
 
 
 def _json_record(record: dict) -> str:
-    return json.dumps(record, indent=2, sort_keys=True) + "\n"
+    return json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _fmt(value) -> str:
@@ -170,10 +175,7 @@ def _format_rows(fmt: str, columns) -> list[str]:
 
 def _write_csv(path: Path, header, blocks):
     """Write the header row, then each block of formatted lines."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(header) + "\n")
-        for lines in blocks:
-            handle.write("".join(lines))
+    _write_text(path, itertools.chain([",".join(header) + "\n"], map("".join, blocks)))
 
 
 def cmd_balance(args) -> int:
@@ -188,39 +190,47 @@ def cmd_balance(args) -> int:
             "result": dataclasses.asdict(result),
         }
     )
-    _write_text(_out_dir(args) / "balance.json", text)
+    _write_text(_out_dir(args) / "balance.json", [text])
     sys.stdout.write(text)
     return 0
+
+
+def _trace_rows(report):
+    """trace.csv lines, _ROW_BLOCK steps at a time."""
+    level, rates = report.provision_level, report.scenario.rates
+    agreed = report.scenario.stats.r_agreed
+    for replication, first_step, demand in report.trace:
+        # The replication and level are constant, and a violated row wastes
+        # nothing (c_provision is finite, as the report's totals are) and
+        # pays the penalty: only its step and demand vary.
+        head = f"{replication},%d,%.12g,{_fmt(level)},"
+        violated, met = head + f"1,0,0,{_fmt(rates.c_viol)}\n", head + "0,%.12g,%.12g,0\n"
+        for start in range(0, len(demand), _ROW_BLOCK):
+            d = demand[start:start + _ROW_BLOCK]
+            wasted = np.maximum(level - d, 0.0)
+            # + 0.0 turns negative zero into plain zero before printing
+            columns = (d > level, d + 0.0, wasted + 0.0,
+                       wasted / agreed * rates.c_provision + 0.0)
+            steps = itertools.count(first_step + start)
+            yield [violated % (i, x) if v else met % (i, x, w, c)
+                   for i, v, x, w, c in zip(steps, *(c.tolist() for c in columns))]
 
 
 def cmd_simulate(args) -> int:
     parsed = load_config(args.config)
     scenario = build_scenario(parsed, seed_override=args.seed, steps_override=args.steps)
-    report = run_simulation(scenario, trace=True if args.trace else False)
+    report = run_simulation(scenario, trace=args.trace)
     out = _out_dir(args)
-    _write_text(
-        out / "report.json",
-        _json_record(
-            {
-                "seed": scenario.seed,
-                "scenario": scenario_to_dict(scenario),
-                "aggregate": report.aggregate_dict(),
-            }
-        ),
-    )
+    record = {
+        "seed": scenario.seed,
+        "scenario": scenario_to_dict(scenario),
+        "aggregate": report.aggregate_dict(),
+    }
+    _write_text(out / "report.json", [_json_record(record)])
     print(f"seed: {scenario.seed}")
     print(f"wrote {out / 'report.json'}")
     if args.trace:
-        tr = report.trace
-        columns = (
-            tr.replication, tr.step, tr.demand, tr.provisioned,
-            tr.violation, tr.wasted, tr.wastage_cost, tr.penalty_cost,
-        )
-        blocks = (
-            _format_rows(_TRACE_ROW, (c[start:start + _ROW_BLOCK] for c in columns))
-            for start in range(0, len(tr), _ROW_BLOCK)
-        )
-        _write_csv(out / "trace.csv", TRACE_HEADER, blocks)
+        _write_csv(out / "trace.csv", TRACE_HEADER, _trace_rows(report))
         print(f"wrote {out / 'trace.csv'}")
     return 0
 
@@ -229,25 +239,11 @@ def cmd_etm(args) -> int:
     parsed = load_config(args.config)
     market = parsed.require("market")
     settlement = settle(list(market.accounts), market.price_per_kg)
-    rows = [
-        (
-            entry.name,
-            _fmt(entry.cap_kg),
-            _fmt(entry.emissions_kg),
-            _fmt(entry.position_kg),
-            _fmt(entry.cash_flow),
-        )
-        for entry in settlement.entries
-    ]
-    rows.append(
-        (
-            "TOTAL",
-            _fmt(sum(e.cap_kg for e in settlement.entries)),
-            _fmt(sum(e.emissions_kg for e in settlement.entries)),
-            _fmt(settlement.total_position_kg),
-            _fmt(settlement.total_cash_flow),
-        )
-    )
+    entries = settlement.entries
+    rows = [(e.name, e.cap_kg, e.emissions_kg, e.position_kg, e.cash_flow) for e in entries]
+    rows.append(("TOTAL", sum(e.cap_kg for e in entries), sum(e.emissions_kg for e in entries),
+                 settlement.total_position_kg, settlement.total_cash_flow))
+    rows = [(name, *map(_fmt, values)) for name, *values in rows]
     out = _out_dir(args)
     lines = [",".join((_csv_field(row[0]),) + row[1:]) + "\n" for row in rows]
     _write_csv(out / "settlement.csv", SETTLEMENT_HEADER, [lines])
@@ -375,6 +371,9 @@ def main(argv=None) -> int:
         return 2
     except PolicyUnresolvable as exc:
         print(f"policy error: {exc}", file=sys.stderr)
+        return 2
+    except NonFiniteResult as exc:
+        print(f"simulation error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -41,6 +41,10 @@ class NoRootInRange(ValueError):
     or bisection cannot bring its residual within tolerance."""
 
 
+class NonFiniteResult(ArithmeticError):
+    """A simulated total overflows a float, so the report would hold inf or NaN."""
+
+
 class PolicyUnresolvable(RuntimeError):
     """A provisioning policy could not be mapped to a concrete level."""
 

@@ -11,8 +11,11 @@ demand paths.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 import numpy.random  # noqa: F401  numpy 2 defers it; load it here, not in the first run
@@ -29,12 +32,10 @@ from .demand import DemandProfile
 from .errors import (
     DegenerateCosts,
     InvalidScenario,
+    NonFiniteResult,
     NoRootInRange,
     PolicyUnresolvable,
 )
-
-# Auto traces are only collected up to this many demand draws.
-TRACE_STEP_LIMIT = 100_000
 
 # Demand is drawn and evaluated this many steps at a time.
 _CHUNK = 1 << 16
@@ -110,8 +111,8 @@ def _balance(stats: DemandStats, rates: CostRates) -> BalanceResult:
         raise PolicyUnresolvable(f"balance policy unresolvable: {exc}") from exc
 
 
-def resolve_policy(policy: Policy, stats: DemandStats, rates: CostRates) -> float:
-    """Concrete provisioning level for a policy, clamped to [0, r_agreed]."""
+def _resolve(policy: Policy, stats: DemandStats, balance: Callable[[], BalanceResult]) -> float:
+    """resolve_policy, with the balance solved by ``balance()`` when needed."""
     if policy.kind == FIXED_AGREED:
         level = stats.r_agreed
     elif policy.kind == MEAN_FOLLOW:
@@ -119,14 +120,19 @@ def resolve_policy(policy: Policy, stats: DemandStats, rates: CostRates) -> floa
     elif policy.kind == FIXED_LEVEL:
         level = policy.level
     elif policy.kind == BALANCE:
-        level = _balance(stats, rates).r_provisioned
+        level = balance().r_provisioned
     else:  # BALANCE_BAND: the band is symmetric about the balance, so the
         # low (energy-saving) edge unless the high edge is cut at r_agreed,
         # which is then nearer.
-        result = _balance(stats, rates)
+        result = balance()
         lo, hi = heuristic_band(result, policy.x_percent, stats)
         level = hi if hi < result.r_provisioned * (1.0 + policy.x_percent) else lo
     return min(max(level, 0.0), stats.r_agreed)
+
+
+def resolve_policy(policy: Policy, stats: DemandStats, rates: CostRates) -> float:
+    """Concrete provisioning level for a policy, clamped to [0, r_agreed]."""
+    return _resolve(policy, stats, lambda: _balance(stats, rates))
 
 
 @dataclass(frozen=True)
@@ -165,21 +171,24 @@ class Scenario:
             )
 
 
-@dataclass(eq=False)
-class StepTrace:
-    """Per-step record arrays, one entry per (replication, step)."""
+class StepTrace(NamedTuple):
+    """One chunk of a run's demand: steps ``first_step`` onward of
+    replication ``replication``, one per ``demand`` entry."""
 
-    replication: np.ndarray
-    step: np.ndarray
+    replication: int
+    first_step: int
     demand: np.ndarray
-    provisioned: np.ndarray
-    violation: np.ndarray
-    wasted: np.ndarray
-    wastage_cost: np.ndarray
-    penalty_cost: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.step)
+
+@dataclass(frozen=True)
+class _Trace:
+    """A run's demand, re-drawn from its seeded streams one StepTrace per
+    chunk each time it is iterated, so any trace is read in bounded memory."""
+
+    scenario: Scenario
+
+    def __iter__(self) -> Iterator[StepTrace]:
+        return _demand_chunks(self.scenario)
 
 
 @dataclass(eq=False)
@@ -210,7 +219,7 @@ class SimulationReport:
     energy_saved_kwh: float
     model_violation_probability: float
     tail_violation_probability: float
-    trace: StepTrace | None = None
+    trace: _Trace | None = None
 
     def aggregate_dict(self) -> dict:
         """Scalar aggregates, the report's serializable core."""
@@ -237,19 +246,8 @@ def _replication_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, index]))
 
 
-def _evaluate(
-    scenario: Scenario, levels, keep: bool = False
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Violation count and total wasted capacity at each level, in one pass.
-
-    Every level sees the same demand (common random numbers), drawn once
-    _CHUNK steps at a time; a sorted chunk and its prefix sum cost each
-    level one binary search.  ``keep`` also returns the unsorted chunks.
-    """
-    g = np.asarray(levels, dtype=float)
-    violations = np.zeros(len(g), dtype=np.int64)
-    wasted = np.zeros(len(g))
-    kept: list[np.ndarray] = []
+def _demand_chunks(scenario: Scenario) -> Iterator[StepTrace]:
+    """The run's demand, _CHUNK steps at a time, clamped as the scenario asks."""
     for rep in range(scenario.replications):
         rng = _replication_rng(scenario.seed, rep)
         for start in range(0, scenario.steps, _CHUNK):
@@ -257,39 +255,35 @@ def _evaluate(
             demand = scenario.profile.sample_many(rng, min(_CHUNK, scenario.steps - start))
             if scenario.clamp_demand_to_agreed:
                 demand = np.minimum(demand, scenario.stats.r_agreed)
-            if keep:
-                kept.append(demand)
+            yield StepTrace(rep, start, demand)
+
+
+def _evaluate(scenario: Scenario, levels) -> tuple[np.ndarray, np.ndarray]:
+    """Violation count and total wasted capacity at each level, in one pass.
+
+    Every level sees the same demand (common random numbers), drawn once
+    _CHUNK steps at a time; a sorted chunk and its prefix sum cost each
+    level one binary search.  Totals that overflow come out as inf or NaN,
+    without a warning; _report rejects them.
+    """
+    g = np.asarray(levels, dtype=float)
+    violations = np.zeros(len(g), dtype=np.int64)
+    wasted = np.zeros(len(g))
+    for _, _, demand in _demand_chunks(scenario):
+        with np.errstate(all="ignore"):
             d = np.sort(demand)
             prefix = np.concatenate(([0.0], np.cumsum(d)))
             below = np.searchsorted(d, g, "right")  # draws with demand <= g
             violations += len(d) - below
             # sum(g - d) over those draws; rounding can leave a tiny negative
             wasted += np.maximum(g * below - prefix[below], 0.0)
-    return violations, wasted, kept
-
-
-def _trace(scenario: Scenario, level: float, chunks: list[np.ndarray]) -> StepTrace:
-    """Per-step records at ``level`` for the demand chunks of one pass."""
-    rates, steps, reps = scenario.rates, scenario.steps, scenario.replications
-    demand = np.concatenate(chunks)
-    violated = demand > level
-    wasted = np.maximum(level - demand, 0.0)
-    return StepTrace(
-        replication=np.repeat(np.arange(reps, dtype=np.int64), steps),
-        step=np.tile(np.arange(steps, dtype=np.int64), reps),
-        demand=demand,
-        provisioned=np.full(len(demand), level),
-        violation=violated,
-        wasted=wasted,
-        wastage_cost=(wasted / scenario.stats.r_agreed) * rates.c_provision,
-        penalty_cost=np.where(violated, rates.c_viol, 0.0),
-    )
+    return violations, wasted
 
 
 def _report(
-    scenario: Scenario, level: float, violation_count: int, wasted: float, chunks: list[np.ndarray]
+    scenario: Scenario, level: float, violation_count: int, wasted: float, trace: bool = False
 ) -> SimulationReport:
-    """Report for one level's counts, with a trace when chunks were kept."""
+    """Report for one level's counts; NonFiniteResult if a total overflows."""
     stats, rates = scenario.stats, scenario.rates
     agreed = stats.r_agreed
     c_prov = rates.c_provision
@@ -303,7 +297,7 @@ def _report(
     else:
         tail_p = scenario.profile.tail_probability(level)
 
-    return SimulationReport(
+    report = SimulationReport(
         seed=scenario.seed,
         scenario=scenario,
         provision_level=level,
@@ -319,27 +313,26 @@ def _report(
         energy_saved_kwh=scenario.energy_full * total_draws - total_energy,
         model_violation_probability=model_p,
         tail_violation_probability=tail_p,
-        trace=_trace(scenario, level, chunks) if chunks else None,
+        trace=_Trace(scenario) if trace else None,
     )
+    for name, value in report.aggregate_dict().items():
+        if not math.isfinite(value):
+            raise NonFiniteResult(f"simulated {name} is {value}: the totals overflow a float")
+    return report
 
 
-def _auto_trace(scenario: Scenario) -> bool:
-    return scenario.steps * scenario.replications <= TRACE_STEP_LIMIT
-
-
-def run_simulation(scenario: Scenario, trace: bool | None = None) -> SimulationReport:
+def run_simulation(scenario: Scenario, trace: bool = False) -> SimulationReport:
     """Play the scenario's policy against sampled demand.
 
-    Demand is evaluated in fixed-size chunks, so an untraced run uses
-    memory independent of ``steps``; a trace holds one row per step.
-    ``trace=None`` records it only while the run stays within
-    TRACE_STEP_LIMIT draws; pass True/False to force.  Deterministic given
-    (scenario, seed): repeated runs produce identical aggregates.
+    Demand is evaluated in fixed-size chunks, so memory does not depend on
+    ``steps``.  ``trace=True`` attaches ``report.trace``, which re-draws the
+    same demand chunk by chunk when iterated, so it is bounded too.
+    Deterministic given (scenario, seed): repeated runs produce identical
+    aggregates.  Raises NonFiniteResult when a total overflows a float.
     """
     level = resolve_policy(scenario.policy, scenario.stats, scenario.rates)
-    keep = trace if trace is not None else _auto_trace(scenario)
-    violations, wasted, chunks = _evaluate(scenario, [level], keep)
-    return _report(scenario, level, int(violations[0]), float(wasted[0]), chunks)
+    violations, wasted = _evaluate(scenario, [level])
+    return _report(scenario, level, int(violations[0]), float(wasted[0]), trace)
 
 
 def realized_cost(report: SimulationReport) -> float:
@@ -375,7 +368,7 @@ def empirical_optimum(scenario: Scenario, grid: list[float]) -> GridSearchResult
     for g in grid:
         if not 0.0 <= g <= scenario.stats.r_agreed:
             raise ValueError(f"grid level {g} outside [0, {scenario.stats.r_agreed}]")
-    violations, wasted, _ = _evaluate(scenario, grid)
+    violations, wasted = _evaluate(scenario, grid)
     rates = scenario.rates
     costs = (wasted / scenario.stats.r_agreed * rates.c_provision
              + violations * rates.c_viol).tolist()
@@ -418,23 +411,28 @@ class PolicyComparison:
 def compare_policies(scenario_base: Scenario, policies: list[Policy]) -> PolicyComparison:
     """Run each policy on identical demand sample paths and rank by cost.
 
-    One pass over the demand evaluates every resolvable policy; traces
-    follow run_simulation's ``trace=None`` rule.  Per-policy failures are
-    recorded in their run entry; the comparison proceeds for the rest.
+    One pass over the demand evaluates every resolvable policy, and the
+    balance is solved at most once.  Reports carry no trace.  Per-policy
+    failures are recorded in their run entry; the comparison proceeds for
+    the rest.
     """
+    stats, rates = scenario_base.stats, scenario_base.rates
+    balance = functools.cache(lambda: _balance(stats, rates))
     runs = [PolicyRun(policy, None, None) for policy in policies]
     levels: dict[PolicyRun, float] = {}
     for run in runs:
         try:
-            levels[run] = resolve_policy(run.policy, scenario_base.stats, scenario_base.rates)
+            levels[run] = _resolve(run.policy, stats, balance)
         except PolicyUnresolvable as exc:
             run.error = str(exc)
     if levels:  # nothing to draw demand for otherwise
-        violations, wasted, chunks = _evaluate(
-            scenario_base, list(levels.values()), _auto_trace(scenario_base))
+        violations, wasted = _evaluate(scenario_base, list(levels.values()))
         for (run, level), v, w in zip(levels.items(), violations, wasted):
             scenario = replace(scenario_base, policy=run.policy)
-            run.report = _report(scenario, level, int(v), float(w), chunks)
+            try:
+                run.report = _report(scenario, level, int(v), float(w))
+            except NonFiniteResult as exc:
+                run.error = str(exc)
     ranked = sorted(
         (run for run in runs if run.report is not None),
         key=lambda run: run.cost,

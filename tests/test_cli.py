@@ -6,6 +6,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import tempfile
 import textwrap
 import tracemalloc
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 import numpy as np
 
 from greenprov import DemandStats, CostRates, balance_closed_form, solve_balance
-from greenprov.cli import _ROW_BLOCK, SWEEP_PARAMS, _csv_field, _fmt, main
+from greenprov.cli import _ROW_BLOCK, SWEEP_PARAMS, _csv_field, _fmt, _json_record, main
 from greenprov.config import build_scenario, load_config, scenario_from_dict
 from greenprov.demand import FAMILIES
 from greenprov.schemas import (
@@ -33,7 +34,7 @@ from greenprov.schemas import (
     TRACE_HEADER,
 )
 from greenprov.market import settle
-from greenprov.simulate import POLICY_KINDS, run_simulation
+from greenprov.simulate import _CHUNK, POLICY_KINDS, run_simulation
 
 BASE = """
 demand:
@@ -201,17 +202,21 @@ simulation: {steps: 1, replications: 2, seed: 11, energy_full: 1.0,
 """
 
 
-def reference_trace_csv(trace) -> bytes:
-    """trace.csv from csv.writer, with _fmt on every value."""
+def reference_trace_csv(report) -> bytes:
+    """trace.csv from csv.writer, with each row's values computed one by one
+    from the demand of the report's trace blocks and printed by _fmt."""
     handle = io.StringIO(newline="")
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(TRACE_HEADER)
-    columns = (
-        trace.replication, trace.step, trace.demand, trace.provisioned,
-        trace.violation, trace.wasted, trace.wastage_cost, trace.penalty_cost,
-    )
-    for i in range(len(trace)):
-        writer.writerow([_fmt(c[i]) for c in columns])
+    level, rates = report.provision_level, report.scenario.rates
+    agreed = report.scenario.stats.r_agreed
+    for block in report.trace:
+        for step, demand in enumerate(block.demand.tolist(), block.first_step):
+            violated = demand > level
+            wasted = max(level - demand, 0.0)
+            row = (block.replication, step, demand, level, violated, wasted,
+                   wasted / agreed * rates.c_provision, rates.c_viol if violated else 0.0)
+            writer.writerow([_fmt(value) for value in row])
     return handle.getvalue().encode("utf-8")
 
 
@@ -268,9 +273,20 @@ class TestSimulateCommand:
         report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert violations == report["aggregate"]["violation_count"]
 
-    @pytest.mark.parametrize("steps", [_ROW_BLOCK - 1, _ROW_BLOCK, 2 * _ROW_BLOCK + 1])
+    # row-block edges, then three replications of more than one chunk each
     @pytest.mark.parametrize(
-        "text", [TRACE_CLAMPED_EMPIRICAL, TRACE_FIXED_LEVEL], ids=["clamped", "fixed"]
+        "text, steps",
+        [
+            pytest.param(text, steps, id=f"{name}-{steps}")
+            for name, text in [("clamped", TRACE_CLAMPED_EMPIRICAL), ("fixed", TRACE_FIXED_LEVEL)]
+            for steps in [_ROW_BLOCK - 1, _ROW_BLOCK, 2 * _ROW_BLOCK + 1]
+        ]
+        + [
+            pytest.param(
+                TRACE_CLAMPED_EMPIRICAL.replace("replications: 1", "replications: 3"),
+                _CHUNK + 1, id="clamped-3x-chunk+1",
+            )
+        ],
     )
     def test_trace_matches_csv_writer(self, tmp_path, text, steps):
         path = write(tmp_path, text)
@@ -281,7 +297,52 @@ class TestSimulateCommand:
             build_scenario(load_config(path), steps_override=steps), trace=True
         )
         assert report.violation_count > 0
-        assert (out / "trace.csv").read_bytes() == reference_trace_csv(report.trace)
+        assert (out / "trace.csv").read_bytes() == reference_trace_csv(report)
+
+    def test_overflowing_total_exits_two_before_writing(self, tmp_path, capsys):
+        # sum(level - demand) overflows a float: one stderr line, no numpy
+        # warning (an error here) and no report.json holding a bare NaN
+        path = write(
+            tmp_path,
+            BASE.replace("upper: 80", "upper: 1.6e+308")
+            .replace("r_agreed: 100", "r_agreed: 1.7e+308")
+            .replace("kind: balance", "kind: fixed_level\n  level: 1.57e+308"),
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", path, "--output", str(out), "--trace"]) == 2
+        assert capsys.readouterr().err == (
+            "simulation error: simulated total_wastage_cost is nan: "
+            "the totals overflow a float\n"
+        )
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_json_records_refuse_non_finite_numbers(self, value):
+        with pytest.raises(ValueError):
+            _json_record({"aggregate": {"total_wastage_cost": value}})
+
+    def test_rerun_into_the_same_output_is_identical(self, config, tmp_path):
+        out = tmp_path / "out"
+        argv = ["simulate", config, "--output", str(out), "--trace"]
+        assert main(argv) == 0
+        first = {name: (out / name).read_bytes() for name in ("report.json", "trace.csv")}
+        assert main(argv) == 0
+        assert {name: (out / name).read_bytes() for name in first} == first
+
+    def test_output_links_are_replaced_not_written_through(self, config, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        targets = {}
+        for name in ("report.json", "trace.csv"):
+            targets[name] = tmp_path / f"target-{name}"
+            targets[name].write_text("keep\n", encoding="utf-8")
+            (out / name).symlink_to(targets[name])
+        assert main(["simulate", config, "--output", str(out), "--trace"]) == 0
+        for name, target in targets.items():
+            assert not (out / name).is_symlink()
+            assert target.read_text(encoding="utf-8") == "keep\n"
+        json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert read_csv(out / "trace.csv")[0] == list(TRACE_HEADER)
 
     def test_unresolvable_policy_exit_two(self, tmp_path):
         path = write(

@@ -12,6 +12,7 @@ from greenprov import (
     CostRates,
     DemandStats,
     InvalidScenario,
+    NonFiniteResult,
     Policy,
     PolicyUnresolvable,
     Scenario,
@@ -24,9 +25,15 @@ from greenprov import (
     realized_cost,
     resolve_policy,
     run_simulation,
+    solve_balance,
 )
 from greenprov import balance, simulate
-from greenprov.simulate import _CHUNK, TRACE_STEP_LIMIT, _replication_rng
+from greenprov.simulate import _CHUNK, _replication_rng
+
+
+def trace_demand(trace):
+    """Every demand draw of a trace, in replication and step order."""
+    return np.concatenate([block.demand for block in trace])
 
 
 @pytest.fixture
@@ -235,36 +242,42 @@ class TestRunSimulation:
         assert abs(report.violation_frequency - p) <= bound
         assert abs(report.model_violation_probability - p) > 10 * bound
 
-    def test_trace_collected_when_small(self, scenario):
-        report = run_simulation(scenario)
-        assert report.trace is not None
-        assert len(report.trace) == scenario.steps * scenario.replications
-
-    def test_trace_skipped_when_large(self, scenario):
-        big = replace(scenario, steps=TRACE_STEP_LIMIT // 2 + 1, replications=2)
-        assert run_simulation(big).trace is None
-
     def test_trace_forced_on_and_off(self, scenario):
-        big = replace(scenario, steps=TRACE_STEP_LIMIT // 2 + 1, replications=2)
-        assert run_simulation(big, trace=True).trace is not None
+        assert run_simulation(scenario, trace=True).trace is not None
         assert run_simulation(scenario, trace=False).trace is None
+        assert run_simulation(scenario).trace is None
+
+    @pytest.mark.parametrize("steps", [1, _CHUNK, _CHUNK + 1])
+    def test_trace_blocks_cover_every_step_in_order(self, scenario, steps):
+        run = replace(scenario, steps=steps)
+        blocks = list(run_simulation(run, trace=True).trace)
+        assert [(b.replication, b.first_step) for b in blocks] == [
+            (rep, start) for rep in range(3) for start in range(0, steps, _CHUNK)
+        ]
+        assert [len(b.demand) for b in blocks] == [
+            min(_CHUNK, steps - b.first_step) for b in blocks
+        ]
+
+    def test_trace_is_redrawn_on_every_iteration(self, scenario):
+        trace = run_simulation(scenario, trace=True).trace
+        assert np.array_equal(trace_demand(trace), trace_demand(trace))
 
     def test_trace_sums_match_aggregates(self, scenario):
-        report = run_simulation(scenario)
-        tr = report.trace
-        assert int(np.count_nonzero(tr.violation)) == report.violation_count
-        assert float(tr.wastage_cost.sum()) == pytest.approx(report.total_wastage_cost)
-        assert float(tr.penalty_cost.sum()) == pytest.approx(report.total_penalty_cost)
-        assert np.all(tr.provisioned == report.provision_level)
-        assert np.array_equal(tr.violation, tr.demand > report.provision_level)
-        assert np.allclose(tr.wasted, np.maximum(report.provision_level - tr.demand, 0.0))
+        report = run_simulation(scenario, trace=True)
+        demand, level = trace_demand(report.trace), report.provision_level
+        violation = demand > level
+        wasted = np.maximum(level - demand, 0.0)
+        wastage_cost = wasted / scenario.stats.r_agreed * scenario.rates.c_provision
+        penalty_cost = np.where(violation, scenario.rates.c_viol, 0.0)
+        assert int(np.count_nonzero(violation)) == report.violation_count
+        assert float(wastage_cost.sum()) == pytest.approx(report.total_wastage_cost)
+        assert float(penalty_cost.sum()) == pytest.approx(report.total_penalty_cost)
 
     def test_replications_are_distinct_streams(self, scenario):
-        report = run_simulation(replace(scenario, replications=2))
-        tr = report.trace
-        first = tr.demand[tr.replication == 0]
-        second = tr.demand[tr.replication == 1]
-        assert not np.array_equal(first, second)
+        report = run_simulation(replace(scenario, replications=2), trace=True)
+        first, second = report.trace
+        assert (first.replication, second.replication) == (0, 1)
+        assert not np.array_equal(first.demand, second.demand)
 
     def test_clamped_demand_never_violates_full_provisioning(self, rates):
         profile = make_profile("uniform", [0, 120])
@@ -275,10 +288,11 @@ class TestRunSimulation:
             seed=4, energy_full=2.0, carbon_intensity=0.5,
             clamp_demand_to_agreed=True,
         )
-        report = run_simulation(scenario)
+        report = run_simulation(scenario, trace=True)
         assert report.violation_count == 0
         assert report.tail_violation_probability == 0.0
-        assert float(report.trace.demand.max()) <= 100.0
+        demand = trace_demand(report.trace)
+        assert float(demand.max()) == 100.0  # a fifth of the draws are cut
 
     def test_untraced_memory_independent_of_steps(self, scenario):
         # one replication's 2e6 draws take 16 MB as a single array;
@@ -291,6 +305,37 @@ class TestRunSimulation:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    def test_traced_memory_independent_of_steps(self, scenario):
+        big = replace(scenario, steps=1_000_000, replications=2)
+        tracemalloc.start()
+        try:
+            report = run_simulation(big, trace=True)
+            draws = sum(len(block.demand) for block in report.trace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert draws == 2_000_000
+        assert peak < 8 * 2**20
+
+    def test_overflowing_total_raises_without_a_warning(self, rates):
+        # sum(level - demand) overflows a float: the pass's NaN total must
+        # neither warn (warnings are errors here) nor reach the report
+        scenario = Scenario(
+            profile=make_profile("uniform", [0, 1.6e308]),
+            stats=DemandStats(0.8e308, 1.6e308, 1.7e308), rates=rates,
+            policy=Policy.fixed_level(1.57e308), steps=400, replications=2,
+            seed=42, energy_full=2.0, carbon_intensity=0.5,
+        )
+        with pytest.raises(NonFiniteResult, match="^simulated total_wastage_cost is nan"):
+            run_simulation(scenario)
+        comparison = compare_policies(
+            scenario, [Policy.fixed_level(1.57e308), Policy.fixed_level(0.0)]
+        )
+        bad, good = comparison.runs
+        assert bad.report is None and bad.error.startswith("simulated total_wastage_cost")
+        assert good.error is None and good.report.violation_count == 800
+        assert comparison.ranking == ("fixed_level(0)",)
 
 
 class TestEmpiricalOptimum:
@@ -395,6 +440,24 @@ class TestComparePolicies:
         comparison = compare_policies(scenario, [Policy.balance(), Policy.balance()])
         a, b = comparison.runs
         assert a.report.aggregate_dict() == b.report.aggregate_dict()
+
+    @pytest.mark.parametrize("rates", [CostRates(1.5, 0.5, 1.0), CostRates(0, 0, 0)])
+    def test_balance_solved_once_per_call(self, scenario, rates, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return solve_balance(*args)
+
+        monkeypatch.setattr(simulate, "solve_balance", counted)
+        policies = [Policy.balance(), Policy.balance_band(0.2), Policy.fixed_agreed()]
+        run = replace(scenario, rates=rates)
+        comparison = compare_policies(run, policies)
+        assert [r.error is None for r in comparison.runs] == [rates.c_viol > 0] * 2 + [True]
+        # a failed solve is retried, not cached
+        assert len(calls) == (1 if rates.c_viol > 0 else 2)
+        compare_policies(run, policies)
+        assert len(calls) == (2 if rates.c_viol > 0 else 4)
 
     def test_full_vs_mean_provisioning(self, scenario):
         comparison = compare_policies(
