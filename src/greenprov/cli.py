@@ -52,11 +52,6 @@ _SWEEP_INPUTS = SWEEP_HEADER[:6]
 # time, so the text of a table is never held whole.
 _ROW_BLOCK = 1 << 10
 
-# One % format per sweep row. Numbers never need CSV quoting; the inputs
-# and satisfaction arrive preformatted, and a solved row's error field is
-# empty.
-_SWEEP_ROW = "%s," * 7 + "%.12g," * 5 + "\n"
-
 
 class _UsageError(Exception):
     pass
@@ -158,14 +153,6 @@ def _csv_field(text: str) -> str:
     return text
 
 
-# An unsolved sweep row per balance.FAILURES entry: the inputs, five empty
-# result fields and the error text.  The template is quoted once, since
-# the numbers filled into it never contain a comma or a quote.
-_SWEEP_ERROR_ROWS = tuple(
-    "%s," * 7 + "," * 5 + _csv_field(failure.template) + "\n" for failure in FAILURES
-)
-
-
 def _format_rows(fmt: str, columns) -> list[str]:
     """``fmt % row`` for each row of equal-length array columns."""
     # + 0.0 turns negative zero into plain zero before printing
@@ -243,13 +230,10 @@ def cmd_etm(args) -> int:
     rows = [(e.name, e.cap_kg, e.emissions_kg, e.position_kg, e.cash_flow) for e in entries]
     rows.append(("TOTAL", sum(e.cap_kg for e in entries), sum(e.emissions_kg for e in entries),
                  settlement.total_position_kg, settlement.total_cash_flow))
-    rows = [(name, *map(_fmt, values)) for name, *values in rows]
-    out = _out_dir(args)
-    lines = [",".join((_csv_field(row[0]),) + row[1:]) + "\n" for row in rows]
-    _write_csv(out / "settlement.csv", SETTLEMENT_HEADER, [lines])
-    print(",".join(SETTLEMENT_HEADER))
-    for row in rows:
-        print(",".join(row))
+    lines = [",".join(SETTLEMENT_HEADER) + "\n"]
+    lines += [",".join([_csv_field(name), *map(_fmt, values)]) + "\n" for name, *values in rows]
+    _write_text(_out_dir(args) / "settlement.csv", lines)
+    sys.stdout.writelines(lines)
     return 0
 
 
@@ -304,17 +288,16 @@ def cmd_sweep(args) -> int:
     total = math.prod(shape)
     if total > np.iinfo(np.intp).max:
         raise ConfigError(f"sweep grid of {total} cells is too large to index")
-    # Each input value is formatted once; rows pick their labels by index
-    # (a fixed input has one label, at index 0).
-    labels = {
-        k: np.array(
-            _format_rows("%.12g", [grids[k]]) if k in grids else [_fmt(base[k])],
-            dtype=object,
-        )
-        for k in _SWEEP_INPUTS
-    }
-    labels["satisfaction"] = np.array([_fmt(rates.satisfaction)], dtype=object)
-    fixed_index = np.zeros(_ROW_BLOCK, dtype=np.intp)
+    # One % format per row kind. A fixed input and satisfaction are literal
+    # text in it; each swept value is formatted once, and rows pick their
+    # labels by index. Numbers never need CSV quoting, and an error template
+    # is quoted once, since the numbers filled into it never contain a comma
+    # or a quote.
+    swept = [k for k in _SWEEP_INPUTS if k in grids]
+    labels = {k: np.array(_format_rows("%.12g", [grids[k]]), dtype=object) for k in swept}
+    head = "".join("%s," if k in grids else _fmt(base[k]) + "," for k in SWEEP_HEADER[:7])
+    solved_row = head + "%.12g," * 5 + "\n"
+    error_rows = [head + "," * 5 + _csv_field(f.template) + "\n" for f in FAILURES]
     failed = 0
 
     def blocks():
@@ -322,21 +305,18 @@ def cmd_sweep(args) -> int:
         for start in range(0, total, _ROW_BLOCK):
             n = min(_ROW_BLOCK, total - start)
             index = dict(zip(names, np.unravel_index(np.arange(start, start + n), shape)))
-            inputs = {
-                k: grids[k][index[k]] if k in index else np.full(n, base[k])
-                for k in _SWEEP_INPUTS
-            }
             failure, results, values = balance_grid(
-                *(inputs[k] for k in _SWEEP_INPUTS), rates.satisfaction
+                *(grids[k][index[k]] if k in grids else base[k] for k in _SWEEP_INPUTS),
+                rates.satisfaction,
             )
-            texts = [labels[k][index.get(k, fixed_index[:n])] for k in labels]
+            texts = [labels[k][index[k]] for k in swept]
             # Each failure's rows, then the solved rows, are formatted apart
             # and merged back in cell order
             lines = np.empty(n, dtype=object)
             unsolved = np.flatnonzero(failure >= 0)
             failed += unsolved.size
             reasons = failure[unsolved]
-            for k, fmt in enumerate(_SWEEP_ERROR_ROWS):
+            for k, fmt in enumerate(error_rows):
                 rows = unsolved[reasons == k]
                 if rows.size:
                     # the message values as the scalar path prints them, -0.0 included
@@ -345,7 +325,7 @@ def cmd_sweep(args) -> int:
                     lines[rows] = list(map(fmt.__mod__, zip(*(f.tolist() for f in fields))))
             del values  # free its arrays before the bulk of the text is made
             solved = np.flatnonzero(failure < 0)
-            lines[solved] = _format_rows(_SWEEP_ROW, [c[solved] for c in texts + list(results)])
+            lines[solved] = _format_rows(solved_row, [c[solved] for c in texts + list(results)])
             yield lines.tolist()
 
     out = _out_dir(args)

@@ -38,7 +38,7 @@ from .demand import (
     DemandProfile,
     make_profile,
 )
-from .errors import ConfigError
+from .errors import ConfigError, InvalidScenario
 from .market import DataCenterAccount
 from .simulate import BALANCE_BAND, FIXED_LEVEL, POLICY_KINDS, Policy, Scenario
 
@@ -268,6 +268,10 @@ def parse_policy(section, path: str = "policy") -> Policy:
 class MarketConfig:
     price_per_kg: float
     accounts: tuple[DataCenterAccount, ...]
+
+    def __post_init__(self):
+        if self.price_per_kg < 0.0:
+            raise InvalidScenario(f"price_per_kg must be >= 0, got {self.price_per_kg}")
 
 
 # The top-level sections, parsed in this order; an absent one is None.

@@ -101,6 +101,9 @@ class DemandProfile:
 
     # -- moments ---------------------------------------------------------
 
+    # The empirical moments sum the data: an overflowing sum is inf, which
+    # the callers' finiteness checks report
+    @np.errstate(over="ignore")
     def mean(self) -> float:
         """Expected demand per time unit (analytic; arithmetic for empirical)."""
         if self.kind == UNIFORM:
@@ -112,6 +115,7 @@ class DemandProfile:
             return m1 if self.upper is None else min(m1, self.upper)
         return float(np.mean(self._observed))
 
+    @np.errstate(over="ignore")
     def variance(self) -> float:
         """Variance of demand (analytic; for empirical, the variance of the
         step CDF itself, i.e. population form)."""
@@ -124,6 +128,7 @@ class DemandProfile:
             return self._lognorm_variance()
         return float(np.var(self._observed))
 
+    @np.errstate(over="ignore")
     def clamped_mean(self, r: float) -> float:
         """E[min(demand, r)]: (1 - p) E[demand | demand <= r] + p r, p = P(demand > r)."""
         if self.kind == EMPIRICAL:
@@ -296,7 +301,10 @@ class DemandProfile:
             return np.clip(self.mu + self.sigma * z, self.lower, self.upper)
         if self.kind == LOGNORMAL:
             z = _tn_ppf(-math.inf, self._beta(), math.inf, u)
-            d = np.exp(self.mu_log + self.sigma_log * z)
+            # demand beyond the float range is inf, which the callers'
+            # finiteness checks report
+            with np.errstate(over="ignore"):
+                d = np.exp(self.mu_log + self.sigma_log * z)
             return d if self.upper is None else np.minimum(d, self.upper)
         vals = self._observed
         idx = np.minimum((u * len(vals)).astype(np.int64), len(vals) - 1)

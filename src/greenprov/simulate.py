@@ -361,7 +361,8 @@ def empirical_optimum(scenario: Scenario, grid: list[float]) -> GridSearchResult
 
     One pass over the demand evaluates every grid level (see
     run_simulation for the memory bound).  Ties resolve to the earliest
-    grid entry.
+    grid entry.  Raises NonFiniteResult when a level's cost overflows a
+    float.
     """
     if not grid:
         raise ValueError("grid must not be empty")
@@ -370,8 +371,14 @@ def empirical_optimum(scenario: Scenario, grid: list[float]) -> GridSearchResult
             raise ValueError(f"grid level {g} outside [0, {scenario.stats.r_agreed}]")
     violations, wasted = _evaluate(scenario, grid)
     rates = scenario.rates
-    costs = (wasted / scenario.stats.r_agreed * rates.c_provision
-             + violations * rates.c_viol).tolist()
+    with np.errstate(all="ignore"):
+        costs = (wasted / scenario.stats.r_agreed * rates.c_provision
+                 + violations * rates.c_viol).tolist()
+    for level, cost in zip(grid, costs):
+        if not math.isfinite(cost):
+            raise NonFiniteResult(
+                f"simulated cost at level {level} is {cost}: the totals overflow a float"
+            )
     best = min(range(len(grid)), key=lambda i: (costs[i], i))
     try:
         r_balance = _balance(scenario.stats, scenario.rates).r_provisioned

@@ -165,7 +165,8 @@ class TestBalanceCommand:
         )
 
     @pytest.mark.parametrize("extra", ["", "max_method: mean_plus_variance"])
-    @pytest.mark.parametrize("mu_log", [400, 800])
+    # 709: the 0.99 quantile overflows in exp, which must not warn
+    @pytest.mark.parametrize("mu_log", [400, 709, 800])
     def test_lognormal_overflow_is_a_config_error(self, tmp_path, capsys, mu_log, extra):
         path = write(
             tmp_path,
@@ -395,7 +396,7 @@ class TestEtmCommand:
     def test_market_section_required(self, config):
         assert main(["etm", config]) == 1
 
-    def test_quoted_names_match_csv_writer(self, tmp_path):
+    def test_quoted_names_match_csv_writer(self, tmp_path, capsys):
         names = ["a,b", 'say "hi"', "two\nlines", "plain"]
         accounts = "".join(
             f"    - {{name: {json.dumps(name)}, cap_kg: 10, emissions_kg: {i}}}\n"
@@ -418,6 +419,8 @@ class TestEtmCommand:
                          _fmt(settlement.total_position_kg),
                          _fmt(settlement.total_cash_flow)])
         assert (out / "settlement.csv").read_bytes() == handle.getvalue().encode("utf-8")
+        # stdout echoes the file, quoting included
+        assert capsys.readouterr().out == handle.getvalue()
 
     def test_carriage_return_in_a_name_is_quoted(self, tmp_path):
         # csv.writer with a "\n" line terminator leaves "\r" unquoted, and
@@ -573,22 +576,40 @@ class TestSweepMatchesPerCellLoop:
     BASE = {"mean_demand": 40.0, "max_demand": 80.0, "r_agreed": 100.0,
             "c_en": 0.5, "c_co2": 0.0, "c_viol": 1.0}
 
-    def run(self, tmp_path, satisfaction, params):
-        rates = {k: self.BASE[k] for k in ("c_en", "c_co2", "c_viol")}
-        stats = {k: self.BASE[k] for k in ("mean_demand", "max_demand", "r_agreed")}
-        path = write(
-            tmp_path,
-            f"stats: {json.dumps(stats)}\n"
-            f"rates: {json.dumps({**rates, 'satisfaction': satisfaction})}\n",
-        )
+    def run(self, tmp_path, satisfaction, params, base=BASE):
+        rates = {k: base[k] for k in ("c_en", "c_co2", "c_viol")}
+        stats = {k: base[k] for k in ("mean_demand", "max_demand", "r_agreed")}
+        # yaml writes every float so that it reads back as one, 1e-05 included
+        path = write(tmp_path, yaml.safe_dump(
+            {"stats": stats, "rates": {**rates, "satisfaction": satisfaction}}))
         out = tmp_path / "out"
         argv = ["sweep", path, "--output", str(out)]
         for text in params:
             argv += ["--param", text]
         main(argv)
         got = (out / "sweep.csv").read_bytes()
-        assert got == reference_sweep_csv(self.BASE, satisfaction, params)
+        assert got == reference_sweep_csv(base, satisfaction, params)
         return got.decode("utf-8")
+
+    @pytest.mark.parametrize("satisfaction,fixed,head", [
+        (0.0, {"r_agreed": 1e20, "c_en": 5e-324, "c_co2": 1e-05},
+         "0,1e+20,4.94065645841e-324,1e-05"),
+        (0.05, {"r_agreed": 100.0, "c_en": 1.5, "c_co2": 1e-05}, "0,100,1.5,1e-05"),
+    ], ids=["closed-form", "bisection"])
+    def test_fixed_inputs_print_as_the_scalar_path_does(self, tmp_path, satisfaction, fixed,
+                                                         head):
+        # fixed inputs are literal text in the row formats: a mean of -0.0
+        # heads each row as 0 but keeps its sign in an error text, and
+        # exponent-form and subnormal values print as %.12g gives them
+        base = {"mean_demand": -0.0, "max_demand": 80.0, "c_viol": 1.0, **fixed}
+        text = self.run(tmp_path, satisfaction,
+                        ["max_demand=-1:80:3", "c_viol=0:2:3"], base=base)
+        rows = list(csv.reader(io.StringIO(text)))[1:]
+        assert {",".join(row[i] for i in (0, 2, 3, 4)) for row in rows} == {head}
+        assert {row[6] for row in rows} == {_fmt(satisfaction)}
+        errors = [row[-1] for row in rows]
+        assert errors.count("max_demand (-1.0) < mean_demand (-0.0)") == 3
+        assert "" in errors
 
     def test_invalid_and_degenerate_cells(self, tmp_path):
         # mean > max, max > r_agreed, negative c_en, all-zero prices, and

@@ -574,6 +574,8 @@ ERROR_TEXTS = [
     ({"market": {"accounts": ONE_ACCOUNT}}, *missing("market.price_per_kg")),
     ({"market": {"price_per_kg": "x"}}, *invalid("market.price_per_kg", REAL)),
     ({"market": {"price_per_kg": 1}}, *missing("market.accounts")),
+    ({"market": {"price_per_kg": -1, "accounts": ONE_ACCOUNT}},
+     *invalid("market", "price_per_kg must be >= 0, got -1.0")),
     ({"market": {"price_per_kg": 1, "accounts": []}},
      *invalid("market.accounts", "expected a nonempty list")),
     ({"market": {"price_per_kg": 1, "accounts": {"name": "a"}}},
@@ -732,9 +734,12 @@ VALUES = st.recursive(
     max_leaves=6,
 )
 # Values of the type and range a valid config holds: demand from LOW to
-# HIGH, agreed capacity HIGH, shares and quantiles from 0 to 1
-NUMBER = st.one_of(st.floats(0.0, 200.0), st.integers(0, 200), st.floats(0.0, 1.0))
-LOW, HIGH = st.floats(0.0, 60.0) | st.integers(0, 60), st.floats(60.0, 200.0) | st.integers(60, 200)
+# HIGH, agreed capacity HIGH, shares and quantiles from 0 to 1; and any
+# finite float, whose overflows must end in a one-line error too
+ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
+NUMBER = st.one_of(st.floats(0.0, 200.0), st.integers(0, 200), st.floats(0.0, 1.0), ANY_FLOAT)
+LOW = st.one_of(st.floats(0.0, 60.0), st.integers(0, 60), ANY_FLOAT)
+HIGH = st.one_of(st.floats(60.0, 200.0), st.integers(60, 200), ANY_FLOAT)
 # Keys a config may leave out
 OPTIONAL = {"resource_unit", "max_method", "mean_demand", "max_demand", "quantile",
             "satisfaction", "seed", "clamp_demand_to_agreed"}
@@ -823,3 +828,9 @@ def test_any_document_fails_only_with_a_config_error(tmp_path, document):
             code = main([command, str(path), "--output", str(directory / "out")])
         assert code in (0, 1, 2)
         assert len(err.getvalue().splitlines()) <= 1 and "Traceback" not in err.getvalue()
+    for output in (directory / "out").glob("*.json"):
+        json.loads(output.read_text(encoding="utf-8"), parse_constant=refuse_constant)
+
+
+def refuse_constant(name):
+    raise AssertionError(f"{name} in a JSON output")

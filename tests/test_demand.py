@@ -177,6 +177,18 @@ class TestMoments:
         profile = make_profile(kind, params)
         assert 0.0 <= profile.mean() <= profile.true_upper_bound()
 
+    def test_values_beyond_the_float_range_are_inf_without_a_warning(self):
+        # the callers' finiteness checks report an inf (warnings are errors here)
+        profile = make_profile("lognormal", [709, 1])  # exp(709 + 2.33) overflows
+        assert profile.quantile(0.99) == math.inf
+        assert np.isinf(profile.sample_many(np.random.default_rng(1), 100)).any()
+        with pytest.raises(InvalidDistribution, match="moment 2 overflows"):
+            make_profile("lognormal", [709, 0.09, 1e308]).variance()
+        # the sums of empirical moments overflow
+        assert make_profile("empirical", [0.0, 2.68e154]).variance() == math.inf
+        profile = make_profile("empirical", [1e308, 1.7e308])
+        assert profile.mean() == profile.clamped_mean(1.7e308) == math.inf
+
 
 class TestMaxEstimate:
     def test_mean_plus_variance_estimator(self):

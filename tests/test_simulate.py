@@ -336,6 +336,10 @@ class TestRunSimulation:
         assert bad.report is None and bad.error.startswith("simulated total_wastage_cost")
         assert good.error is None and good.report.violation_count == 800
         assert comparison.ranking == ("fixed_level(0)",)
+        # a NaN cost is not ranked, whichever grid place it has
+        for grid in ([1.57e308, 0.0], [0.0, 1.57e308]):
+            with pytest.raises(NonFiniteResult, match="^simulated cost at level 1.57e"):
+                empirical_optimum(scenario, grid)
 
 
 class TestEmpiricalOptimum:
