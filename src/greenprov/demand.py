@@ -101,8 +101,8 @@ class DemandProfile:
 
     # -- moments ---------------------------------------------------------
 
-    # The empirical moments sum the data: an overflowing sum is inf, which
-    # the callers' finiteness checks report
+    # An empirical mean whose sum overflows is taken again by _mean; an
+    # overflowing variance is inf, which the callers' finiteness checks report
     @np.errstate(over="ignore")
     def mean(self) -> float:
         """Expected demand per time unit (analytic; arithmetic for empirical)."""
@@ -113,7 +113,7 @@ class DemandProfile:
         if self.kind == LOGNORMAL:
             m1 = self._lognorm_moment(1)
             return m1 if self.upper is None else min(m1, self.upper)
-        return float(np.mean(self._observed))
+        return _mean(self._observed)
 
     @np.errstate(over="ignore")
     def variance(self) -> float:
@@ -132,7 +132,7 @@ class DemandProfile:
     def clamped_mean(self, r: float) -> float:
         """E[min(demand, r)]: (1 - p) E[demand | demand <= r] + p r, p = P(demand > r)."""
         if self.kind == EMPIRICAL:
-            return float(np.mean(np.minimum(self._observed, r)))
+            return _mean(np.minimum(self._observed, r))
         p = self.tail_probability(r)
         if p == 0.0:
             return self.mean()
@@ -208,6 +208,14 @@ class DemandProfile:
         """Vector of ``n`` draws; consumes ``n`` uniforms, aligned with
         issuing ``n`` single :meth:`sample` calls on the same generator."""
         return self._transform(rng.random(n))
+
+    def observation_index(self, u: np.ndarray) -> np.ndarray:
+        """Index into ``values`` of the empirical draw at each uniform u in [0, 1)."""
+        n = len(self.values)
+        # floor(u * n) cast straight into the index array: no float temporary
+        index = np.empty(np.shape(u), dtype=np.int64)
+        np.multiply(u, n, out=index, casting="unsafe")
+        return np.minimum(index, n - 1, out=index)
 
     # -- internals ---------------------------------------------------------
 
@@ -306,9 +314,21 @@ class DemandProfile:
             with np.errstate(over="ignore"):
                 d = np.exp(self.mu_log + self.sigma_log * z)
             return d if self.upper is None else np.minimum(d, self.upper)
-        vals = self._observed
-        idx = np.minimum((u * len(vals)).astype(np.int64), len(vals) - 1)
-        return vals[idx]
+        return self._observed[self.observation_index(u)]
+
+
+def _mean(x: np.ndarray) -> float:
+    """Mean of finite data whose sum may overflow.
+
+    Only when the plain mean is not finite is it taken again over x scaled
+    by 2**-ceil(log2(len(x))), which is exact and keeps the sum finite, so
+    every other mean keeps its bytes.
+    """
+    mean = float(np.mean(x))
+    if not math.isfinite(mean) and np.isfinite(x).all():
+        k = math.ceil(math.log2(len(x)))
+        mean = math.ldexp(float(np.mean(np.ldexp(x, -k))), k)
+    return mean
 
 
 # -- the standard normal on a window [a, b] ------------------------------------

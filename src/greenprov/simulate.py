@@ -28,7 +28,7 @@ from .balance import (
     solve_balance,
     violation_probability_linear,
 )
-from .demand import DemandProfile
+from .demand import EMPIRICAL, DemandProfile
 from .errors import (
     DegenerateCosts,
     InvalidScenario,
@@ -246,27 +246,58 @@ def _replication_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, index]))
 
 
-def _demand_chunks(scenario: Scenario) -> Iterator[StepTrace]:
-    """The run's demand, _CHUNK steps at a time, clamped as the scenario asks."""
+def _chunks(scenario: Scenario) -> Iterator[tuple[int, int, int, np.random.Generator]]:
+    """The run's seeded chunk loop: (replication, first step, steps, stream)
+    for each _CHUNK steps of each replication, in order."""
     for rep in range(scenario.replications):
         rng = _replication_rng(scenario.seed, rep)
         for start in range(0, scenario.steps, _CHUNK):
-            # chunked draws give the same stream as one draw of all steps
-            demand = scenario.profile.sample_many(rng, min(_CHUNK, scenario.steps - start))
-            if scenario.clamp_demand_to_agreed:
-                demand = np.minimum(demand, scenario.stats.r_agreed)
-            yield StepTrace(rep, start, demand)
+            yield rep, start, min(_CHUNK, scenario.steps - start), rng
+
+
+def _demand_chunks(scenario: Scenario) -> Iterator[StepTrace]:
+    """The run's demand, _CHUNK steps at a time, clamped as the scenario asks."""
+    for rep, start, n, rng in _chunks(scenario):
+        # chunked draws give the same stream as one draw of all steps
+        demand = scenario.profile.sample_many(rng, n)
+        if scenario.clamp_demand_to_agreed:
+            demand = np.minimum(demand, scenario.stats.r_agreed)
+        yield StepTrace(rep, start, demand)
 
 
 def _evaluate(scenario: Scenario, levels) -> tuple[np.ndarray, np.ndarray]:
     """Violation count and total wasted capacity at each level, in one pass.
 
-    Every level sees the same demand (common random numbers), drawn once
-    _CHUNK steps at a time; a sorted chunk and its prefix sum cost each
-    level one binary search.  Totals that overflow come out as inf or NaN,
-    without a warning; _report rejects them.
+    Every level sees the same demand (common random numbers), drawn
+    _CHUNK steps at a time.  Empirical demand is counted per observation:
+    each chunk's uniforms add to how often each observation is drawn, and
+    the sorted observations with prefix sums of the counts and of counts *
+    values then cost each level one binary search.  Other demand is
+    scored chunk by chunk by :func:`_score_chunks`.  Totals that overflow
+    come out as inf or NaN, without a warning; _report rejects them.
     """
     g = np.asarray(levels, dtype=float)
+    profile = scenario.profile
+    if profile.kind != EMPIRICAL:
+        return _score_chunks(scenario, g)
+    counts = np.zeros(len(profile.values), dtype=np.int64)
+    for _, _, n, rng in _chunks(scenario):
+        counts += np.bincount(profile.observation_index(rng.random(n)), minlength=len(counts))
+    values = np.asarray(profile.values)
+    if scenario.clamp_demand_to_agreed:
+        values = np.minimum(values, scenario.stats.r_agreed)  # still sorted
+    with np.errstate(all="ignore"):
+        k = np.searchsorted(values, g, "right")  # observations <= g
+        below = np.concatenate(([0], np.cumsum(counts)))[k]  # draws with demand <= g
+        prefix = np.concatenate(([0.0], np.cumsum(counts * values)))[k]
+        # sum(g - d) over those draws; rounding can leave a tiny negative
+        wasted = np.maximum(g * below - prefix, 0.0)
+    return counts.sum() - below, wasted
+
+
+def _score_chunks(scenario: Scenario, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_evaluate by sorting each demand chunk: a sorted chunk and its prefix
+    sum cost each level one binary search."""
     violations = np.zeros(len(g), dtype=np.int64)
     wasted = np.zeros(len(g))
     for _, _, demand in _demand_chunks(scenario):

@@ -184,10 +184,11 @@ class TestMoments:
         assert np.isinf(profile.sample_many(np.random.default_rng(1), 100)).any()
         with pytest.raises(InvalidDistribution, match="moment 2 overflows"):
             make_profile("lognormal", [709, 0.09, 1e308]).variance()
-        # the sums of empirical moments overflow
+        # the sum of squares of an empirical variance overflows
         assert make_profile("empirical", [0.0, 2.68e154]).variance() == math.inf
+        # an empirical mean is taken again over scaled data when its sum overflows
         profile = make_profile("empirical", [1e308, 1.7e308])
-        assert profile.mean() == profile.clamped_mean(1.7e308) == math.inf
+        assert profile.mean() == profile.clamped_mean(1.7e308) == 1.35e308
 
 
 class TestMaxEstimate:

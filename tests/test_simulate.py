@@ -4,6 +4,7 @@ statistical agreement with the demand model, and policy comparison."""
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -437,6 +438,108 @@ class TestOnePassKernel:
         for policy, run in zip(policies, comparison.runs):
             solo = run_simulation(replace(scenario, policy=policy), trace=False)
             assert run.report.aggregate_dict() == solo.aggregate_dict()
+
+
+def drawn_demand(scenario):
+    """Every draw of the run, from sample_many over the replication streams."""
+    draws = []
+    for rep in range(scenario.replications):
+        demand = scenario.profile.sample_many(
+            _replication_rng(scenario.seed, rep), scenario.steps
+        )
+        if scenario.clamp_demand_to_agreed:
+            demand = np.minimum(demand, scenario.stats.r_agreed)
+        draws.append(demand)
+    return np.concatenate(draws)
+
+
+def exact_wasted(demand, g):
+    """sum(g - d) over the draws d <= g, as an exact Fraction."""
+    values, counts = np.unique(demand[demand <= g], return_counts=True)
+    return sum(
+        (Fraction(g) - Fraction(v)) * int(c) for v, c in zip(values.tolist(), counts.tolist())
+    )
+
+
+class TestEmpiricalTally:
+    """Empirical demand is counted per observation instead of sorted per chunk."""
+
+    LEVELS = [0.0, 1e-9, 5.0, 12.5, 20.0, 40.0, 61.0, 77.25, 99.9, 100.0]
+    PROFILES = {
+        "plain": ([3.0, 12.5, 40.0, 61.0, 77.25, 99.9], False),
+        "negative-zero": ([-0.0, 0.0, 12.5, 40.0, 1e-9, 77.25], False),
+        "duplicates": ([20.0, 20.0, 20.0, 40.0, 40.0, 99.9, 5.0], False),
+        # the observations of the clamped trace test, two of them above r_agreed
+        "clamped": ([-0.0, 12.5, 40.0, 77.25, 99.9, 130.0, 1.0e-9], True),
+    }
+
+    def run(self, scenario, name, steps):
+        values, clamp = self.PROFILES[name]
+        return replace(
+            scenario, profile=make_profile("empirical", values),
+            clamp_demand_to_agreed=clamp, steps=steps, replications=3,
+        )
+
+    @pytest.mark.parametrize("steps", [1, _CHUNK, _CHUNK + 1])
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    def test_violations_match_a_count_of_the_draws(self, scenario, name, steps):
+        run = self.run(scenario, name, steps)
+        demand = drawn_demand(run)
+        violations, wasted = simulate._evaluate(run, self.LEVELS)
+        assert violations.tolist() == [int(np.count_nonzero(demand > g)) for g in self.LEVELS]
+        for g, total in zip(self.LEVELS, wasted.tolist()):
+            assert total == pytest.approx(float(exact_wasted(demand, g)), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("seed", [5, 2101, 77])
+    def test_wasted_totals_are_no_further_from_exact_than_sorted_chunks(self, scenario, seed):
+        observed = np.random.default_rng(seed).gamma(4.0, 12.0, 300)
+        agreed = float(observed.max())
+        run = replace(
+            scenario, profile=make_profile("empirical", observed.tolist()),
+            stats=DemandStats(float(observed.mean()), agreed, agreed),
+            steps=_CHUNK + 1, replications=3, seed=seed,
+        )
+        levels = [agreed * i / 20 for i in range(1, 21)]
+        demand = drawn_demand(run)
+        exact = [exact_wasted(demand, g) for g in levels]
+
+        def worst(wasted):
+            # relative error; an exact zero must come out as zero
+            return max(
+                abs(Fraction(w) - e) / e if e else Fraction(w != 0)
+                for w, e in zip(wasted.tolist(), exact)
+            )
+
+        tally_violations, tally = simulate._evaluate(run, levels)
+        chunk_violations, chunks = simulate._score_chunks(run, np.asarray(levels))
+        assert tally_violations.tolist() == chunk_violations.tolist()
+        assert worst(tally) <= 1e-13
+        assert worst(tally) <= worst(chunks)
+
+    def test_memory_independent_of_steps(self, scenario):
+        big = replace(
+            scenario, profile=make_profile("empirical", [10.0, 20.0, 35.0, 80.0]),
+            steps=2_000_000, replications=2,
+        )
+        tracemalloc.start()
+        try:
+            run_simulation(big)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_overflowing_total_raises_without_a_warning(self, rates):
+        scenario = Scenario(
+            profile=make_profile("empirical", [1.6e308, 1.65e308, 1.7e308]),
+            stats=DemandStats(1.65e308, 1.7e308, 1.7e308), rates=rates,
+            policy=Policy.fixed_level(1.7e308), steps=400, replications=2,
+            seed=42, energy_full=2.0, carbon_intensity=0.5,
+        )
+        with pytest.raises(NonFiniteResult, match="^simulated total_wastage_cost is"):
+            run_simulation(scenario)
+        with pytest.raises(NonFiniteResult, match="^simulated cost at level 1.7e"):
+            empirical_optimum(scenario, [0.0, 1.7e308])
 
 
 class TestComparePolicies:
