@@ -22,7 +22,7 @@ scalar solvers and ``balance_grid`` all check.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -41,9 +41,61 @@ from .errors import (
 _BISECT_REL_WIDTH = 1e-12
 _BISECT_MAX_ITER = 200
 
+
+@dataclass(frozen=True)
+class CostRates:
+    """Market prices entering the cost model.
+
+    ``c_en`` and ``c_co2`` are the energy and CO2e prices per time unit of
+    provisioning the full agreed amount; ``c_viol`` is the price of a single
+    violation event; ``satisfaction`` is an optional constant per-time-unit
+    surcharge that models customer goodwill lost to under-provisioning.
+    """
+
+    c_en: float
+    c_co2: float
+    c_viol: float
+    satisfaction: float = 0.0
+
+    def __post_init__(self):
+        _check(_RATES_CHECKS, vars(self))
+
+    @property
+    def c_provision(self) -> float:
+        """Combined per-time-unit price of full provisioning (energy + CO2e)."""
+        return self.c_en + self.c_co2
+
+
+@dataclass(frozen=True)
+class DemandStats:
+    """Demand summary the cost model runs on: mean, maximum, and the
+    SLA-agreed constant amount.  Demand above the agreement is contractually
+    out of scope, so max_demand may not exceed r_agreed (clamp sampled
+    demand at the scenario level instead, see ``clamp_demand_to_agreed``).
+    """
+
+    mean_demand: float
+    max_demand: float
+    r_agreed: float
+
+    def __post_init__(self):
+        _check(_STATS_CHECKS, vars(self))
+
+
+@dataclass(frozen=True)
+class BalanceResult:
+    """Equilibrium provisioning level with its cost components."""
+
+    r_provisioned: float
+    w: float
+    c_wastage: float
+    p_viol: float
+    expected_penalty: float
+
+
 # The DemandStats and CostRates fields, in the order balance_grid takes them.
-_STATS_FIELDS = ("mean_demand", "max_demand", "r_agreed")
-_RATES_FIELDS = ("c_en", "c_co2", "c_viol", "satisfaction")
+_STATS_FIELDS = tuple(field.name for field in fields(DemandStats))
+_RATES_FIELDS = tuple(field.name for field in fields(CostRates))
 
 
 class Failure(NamedTuple):
@@ -130,57 +182,6 @@ def _first_failure(checks, values, offset):
         failure = np.where(fails, offset + i, failure)
         failed = failed | fails
     return failure, failed
-
-
-@dataclass(frozen=True)
-class CostRates:
-    """Market prices entering the cost model.
-
-    ``c_en`` and ``c_co2`` are the energy and CO2e prices per time unit of
-    provisioning the full agreed amount; ``c_viol`` is the price of a single
-    violation event; ``satisfaction`` is an optional constant per-time-unit
-    surcharge that models customer goodwill lost to under-provisioning.
-    """
-
-    c_en: float
-    c_co2: float
-    c_viol: float
-    satisfaction: float = 0.0
-
-    def __post_init__(self):
-        _check(_RATES_CHECKS, vars(self))
-
-    @property
-    def c_provision(self) -> float:
-        """Combined per-time-unit price of full provisioning (energy + CO2e)."""
-        return self.c_en + self.c_co2
-
-
-@dataclass(frozen=True)
-class DemandStats:
-    """Demand summary the cost model runs on: mean, maximum, and the
-    SLA-agreed constant amount.  Demand above the agreement is contractually
-    out of scope, so max_demand may not exceed r_agreed (clamp sampled
-    demand at the scenario level instead, see ``clamp_demand_to_agreed``).
-    """
-
-    mean_demand: float
-    max_demand: float
-    r_agreed: float
-
-    def __post_init__(self):
-        _check(_STATS_CHECKS, vars(self))
-
-
-@dataclass(frozen=True)
-class BalanceResult:
-    """Equilibrium provisioning level with its cost components."""
-
-    r_provisioned: float
-    w: float
-    c_wastage: float
-    p_viol: float
-    expected_penalty: float
 
 
 # The solver arithmetic below runs elementwise on float64 arrays or

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .balance import FAILURES, balance_grid, solve_balance
+from .balance import FAILURES, CostRates, DemandStats, balance_grid, solve_balance
 from .config import build_scenario, load_config, scenario_to_dict
 from .errors import (
     ConfigError,
@@ -44,9 +44,12 @@ from .market import settle
 from .schemas import SETTLEMENT_HEADER, SWEEP_HEADER, TRACE_HEADER
 from .simulate import run_simulation
 
-SWEEP_PARAMS = ("c_co2", "c_en", "c_viol", "max_demand", "mean_demand", "r_agreed")
-# The DemandStats and CostRates inputs in sweep.csv column order.
-_SWEEP_INPUTS = SWEEP_HEADER[:6]
+# The balance inputs, the DemandStats then CostRates fields, in sweep.csv
+# column order; any but the satisfaction surcharge may be swept.
+_SWEEP_INPUTS = tuple(
+    f.name for f in dataclasses.fields(DemandStats) + dataclasses.fields(CostRates)
+)
+SWEEP_PARAMS = tuple(sorted(k for k in _SWEEP_INPUTS if k != "satisfaction"))
 
 # trace.csv and sweep.csv are formatted and written this many rows at a
 # time, so the text of a table is never held whole.
@@ -227,7 +230,7 @@ def cmd_etm(args) -> int:
     market = parsed.require("market")
     settlement = settle(list(market.accounts), market.price_per_kg)
     entries = settlement.entries
-    rows = [(e.name, e.cap_kg, e.emissions_kg, e.position_kg, e.cash_flow) for e in entries]
+    rows = list(map(dataclasses.astuple, entries))
     rows.append(("TOTAL", sum(e.cap_kg for e in entries), sum(e.emissions_kg for e in entries),
                  settlement.total_position_kg, settlement.total_cash_flow))
     lines = [",".join(SETTLEMENT_HEADER) + "\n"]
@@ -295,9 +298,10 @@ def cmd_sweep(args) -> int:
     # or a quote.
     swept = [k for k in _SWEEP_INPUTS if k in grids]
     labels = {k: np.array(_format_rows("%.12g", [grids[k]]), dtype=object) for k in swept}
-    head = "".join("%s," if k in grids else _fmt(base[k]) + "," for k in SWEEP_HEADER[:7])
-    solved_row = head + "%.12g," * 5 + "\n"
-    error_rows = [head + "," * 5 + _csv_field(f.template) + "\n" for f in FAILURES]
+    head = "".join("%s," if k in grids else _fmt(base[k]) + "," for k in _SWEEP_INPUTS)
+    n_results = len(SWEEP_HEADER) - len(_SWEEP_INPUTS) - 1  # the BalanceResult columns
+    solved_row = head + "%.12g," * n_results + "\n"
+    error_rows = [head + "," * n_results + _csv_field(f.template) + "\n" for f in FAILURES]
     failed = 0
 
     def blocks():
@@ -306,8 +310,7 @@ def cmd_sweep(args) -> int:
             n = min(_ROW_BLOCK, total - start)
             index = dict(zip(names, np.unravel_index(np.arange(start, start + n), shape)))
             failure, results, values = balance_grid(
-                *(grids[k][index[k]] if k in grids else base[k] for k in _SWEEP_INPUTS),
-                rates.satisfaction,
+                *(grids[k][index[k]] if k in grids else base[k] for k in _SWEEP_INPUTS)
             )
             texts = [labels[k][index[k]] for k in swept]
             # Each failure's rows, then the solved rows, are formatted apart

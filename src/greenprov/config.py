@@ -347,7 +347,14 @@ def load_config(path: str) -> ParsedConfig:
         try:
             document = yaml.load(handle, Loader=_StrictLoader)
         except yaml.YAMLError as exc:
-            raise ConfigError(f"invalid value at config: not parseable ({exc})", "") from exc
+            # PyYAML's message spans lines; the error is printed on one
+            message = " ".join(str(exc).split())
+            raise ConfigError(f"invalid value at config: not parseable ({message})", "") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"invalid value at config: not UTF-8 ({exc})", "") from exc
+        except RecursionError as exc:
+            # PyYAML composes a node per nesting level, recursively
+            raise ConfigError("invalid value at config: nested too deeply", "") from exc
     if document is None:
         raise ConfigError("invalid value at config: empty document", "")
     return parse_document(document)

@@ -200,13 +200,9 @@ class DemandProfile:
 
     # -- sampling ----------------------------------------------------------
 
-    def sample(self, rng: np.random.Generator) -> float:
-        """One demand draw; consumes exactly one uniform from ``rng``."""
-        return float(self._transform(np.asarray([rng.random()]))[0])
-
     def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Vector of ``n`` draws; consumes ``n`` uniforms, aligned with
-        issuing ``n`` single :meth:`sample` calls on the same generator."""
+        """Vector of ``n`` draws; consumes ``n`` uniforms, one per draw, so
+        draws split into chunks on one generator equal a single draw of all."""
         return self._transform(rng.random(n))
 
     def observation_index(self, u: np.ndarray) -> np.ndarray:

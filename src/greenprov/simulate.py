@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -223,21 +223,13 @@ class SimulationReport:
 
     def aggregate_dict(self) -> dict:
         """Scalar aggregates, the report's serializable core."""
-        return {
-            "provision_level": self.provision_level,
-            "violation_count": self.violation_count,
-            "violation_frequency": self.violation_frequency,
-            "total_wastage_cost": self.total_wastage_cost,
-            "total_penalty_cost": self.total_penalty_cost,
-            "total_expected_model_cost": self.total_expected_model_cost,
-            "total_energy_kwh": self.total_energy_kwh,
-            "total_emissions_kg": self.total_emissions_kg,
-            "total_energy_use_cost": self.total_energy_use_cost,
-            "total_co2_use_cost": self.total_co2_use_cost,
-            "energy_saved_kwh": self.energy_saved_kwh,
-            "model_violation_probability": self.model_violation_probability,
-            "tail_violation_probability": self.tail_violation_probability,
-        }
+        return {name: getattr(self, name) for name in _AGGREGATE_FIELDS}
+
+
+# The report's aggregates: every field but its provenance and trace.
+_AGGREGATE_FIELDS = tuple(
+    f.name for f in fields(SimulationReport) if f.name not in ("seed", "scenario", "trace")
+)
 
 
 def _replication_rng(seed: int, index: int) -> np.random.Generator:

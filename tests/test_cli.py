@@ -782,6 +782,23 @@ class TestUsage:
 
 
 class TestSchemas:
+    def test_csv_header_lines(self, tmp_path):
+        # The headers derive from dataclass fields; their text is pinned here
+        config = write(tmp_path, BASE + MARKET)
+        out = tmp_path / "out"
+        assert main(["simulate", config, "--trace", "--output", str(out)]) == 0
+        assert main(["etm", config, "--output", str(out)]) == 0
+        assert main(["sweep", config, "--param", "c_en=1:2:2", "--output", str(out)]) == 0
+        first_lines = {name: (out / name).read_bytes().partition(b"\n")[0]
+                       for name in ("trace.csv", "settlement.csv", "sweep.csv")}
+        assert first_lines == {
+            "trace.csv": b"replication,step,demand,provisioned,violation,wasted,"
+                         b"wastage_cost,penalty_cost",
+            "settlement.csv": b"name,cap_kg,emissions_kg,position_kg,cash_flow",
+            "sweep.csv": b"mean_demand,max_demand,r_agreed,c_en,c_co2,c_viol,satisfaction,"
+                         b"r_provisioned,w,c_wastage,p_viol,expected_penalty,error",
+        }
+
     def test_kind_enums_follow_the_constants(self):
         properties = SCENARIO_SCHEMA["properties"]
         assert properties["demand"]["properties"]["kind"]["enum"] == list(FAMILIES)

@@ -312,16 +312,16 @@ class TestQuantile:
 class TestSampling:
     def test_same_seed_same_draw(self):
         profile = make_profile("uniform", [0, 80])
-        a = profile.sample(np.random.default_rng(42))
-        b = profile.sample(np.random.default_rng(42))
-        assert a == b
+        a = profile.sample_many(np.random.default_rng(42), 1)
+        b = profile.sample_many(np.random.default_rng(42), 1)
+        assert a.shape == (1,) and np.array_equal(a, b)
 
-    def test_sample_many_aligns_with_single_draws(self):
+    def test_one_draw_equals_chunked_draws(self):
         profile = make_profile("truncated_normal", [50, 10, 0, 100])
-        many = profile.sample_many(np.random.default_rng(7), 16)
+        whole = profile.sample_many(np.random.default_rng(7), 16)
         rng = np.random.default_rng(7)
-        singles = [profile.sample(rng) for _ in range(16)]
-        assert np.array_equal(many, np.asarray(singles))
+        chunks = [profile.sample_many(rng, n) for n in (1, 5, 10)]
+        assert np.array_equal(whole, np.concatenate(chunks))
 
     def test_support_containment(self):
         profile = make_profile("uniform", [0, 80])
