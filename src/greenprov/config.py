@@ -45,6 +45,14 @@ from .simulate import BALANCE_BAND, FIXED_LEVEL, POLICY_KINDS, Policy, Scenario
 MAX_METHODS = (MEAN_PLUS_VARIANCE, TRUE_UPPER_BOUND, QUANTILE)
 
 
+def _key_path(path: str, key) -> str:
+    """``path.key``, or ``key`` at the top, with the key's control
+    characters escaped as ``repr`` escapes them, so a message naming it
+    stays on one line."""
+    key = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(key))
+    return f"{path}.{key}" if path else key
+
+
 class _StrictLoader(yaml.SafeLoader):
     """SafeLoader that rejects a mapping key given twice (YAML requires
     unique keys; PyYAML would keep the last value)."""
@@ -65,7 +73,7 @@ class _StrictLoader(yaml.SafeLoader):
                 # keys given next to a merge (<<) override the merged ones
                 merge = key_node.tag == "tag:yaml.org,2002:merge"
                 key = "<<" if merge else self.construct_object(key_node)
-                full = f"{path}.{key}" if path else str(key)
+                full = _key_path(path, key)
                 if not merge:
                     if key in seen:
                         raise ConfigError(f"duplicate key: {full}", full)
@@ -126,6 +134,10 @@ def _bool(value, path: str) -> bool:
 def _str(value, path: str) -> str:
     if not isinstance(value, str):
         raise _invalid(path, "expected a string")
+    try:
+        value.encode("utf-8")  # the outputs that echo it are UTF-8
+    except UnicodeEncodeError as exc:
+        raise _invalid(path, "holds a lone surrogate, which UTF-8 cannot encode") from exc
     return value
 
 
@@ -213,11 +225,11 @@ def _section(value, path: str, keys: dict) -> dict:
     mapping = _as_map(value, path or "config")
     for key in mapping:
         if key not in keys:
-            full = f"{path}.{key}" if path else key
+            full = _key_path(path, key)
             raise ConfigError(f"unknown key: {full}", full)
     out = {}
     for key, (read, default) in keys.items():
-        full = f"{path}.{key}" if path else key
+        full = _key_path(path, key)
         if key in mapping:
             out[key] = read(mapping[key], full)
         elif default is _REQUIRED:

@@ -205,11 +205,15 @@ class DemandProfile:
         draws split into chunks on one generator equal a single draw of all."""
         return self._transform(rng.random(n))
 
-    def observation_index(self, u: np.ndarray) -> np.ndarray:
-        """Index into ``values`` of the empirical draw at each uniform u in [0, 1)."""
+    def observation_index(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Index into ``values`` of the empirical draw at each uniform u in [0, 1).
+
+        ``out``, an int64 array shaped like ``u``, receives the indices
+        instead of a new array, and is returned.
+        """
         n = len(self.values)
         # floor(u * n) cast straight into the index array: no float temporary
-        index = np.empty(np.shape(u), dtype=np.int64)
+        index = np.empty(np.shape(u), dtype=np.int64) if out is None else out
         np.multiply(u, n, out=index, casting="unsafe")
         return np.minimum(index, n - 1, out=index)
 

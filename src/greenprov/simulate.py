@@ -143,6 +143,11 @@ class Scenario:
     of r_agreed; actual energy scales linearly with the provisioned level.
     ``clamp_demand_to_agreed`` truncates sampled demand at r_agreed, for
     profiles whose support exceeds the agreement.
+
+    An empirical scenario draws its demand once per object: the first
+    evaluation counts the draws (``_draw_counts``) and later evaluations of
+    the same object reuse the counts.  ``dataclasses.replace`` makes a new
+    object, which counts afresh.
     """
 
     profile: DemandProfile
@@ -169,6 +174,26 @@ class Scenario:
             raise InvalidScenario(
                 f"carbon_intensity must be >= 0, got {self.carbon_intensity}"
             )
+
+    @functools.cached_property
+    def _draw_counts(self) -> np.ndarray:
+        """How often each observation of an empirical profile is drawn over
+        every step and replication, as a read-only int64 array.
+
+        The uniforms of each chunk are drawn into one reused buffer and
+        indexed into another, so no chunk allocates an array of its draws.
+        """
+        profile = self.profile
+        counts = np.zeros(len(profile.values), dtype=np.int64)
+        u = np.empty(min(_CHUNK, self.steps))
+        index = np.empty(len(u), dtype=np.int64)
+        for _, _, n, rng in _chunks(self):
+            rng.random(out=u[:n])
+            counts += np.bincount(
+                profile.observation_index(u[:n], out=index[:n]), minlength=len(counts)
+            )
+        counts.flags.writeable = False
+        return counts
 
 
 class StepTrace(NamedTuple):
@@ -261,21 +286,20 @@ def _evaluate(scenario: Scenario, levels) -> tuple[np.ndarray, np.ndarray]:
     """Violation count and total wasted capacity at each level, in one pass.
 
     Every level sees the same demand (common random numbers), drawn
-    _CHUNK steps at a time.  Empirical demand is counted per observation:
-    each chunk's uniforms add to how often each observation is drawn, and
-    the sorted observations with prefix sums of the counts and of counts *
-    values then cost each level one binary search.  Other demand is
-    scored chunk by chunk by :func:`_score_chunks`.  Totals that overflow
-    come out as inf or NaN, without a warning; _report rejects them.
+    _CHUNK steps at a time.  Empirical demand is counted per observation,
+    once per scenario object (``Scenario._draw_counts``): the sorted
+    observations with prefix sums of the counts and of counts * values
+    then cost each level one binary search, and a repeated evaluation of
+    the same object draws nothing.  Other demand is scored chunk by chunk
+    by :func:`_score_chunks`.  Totals that overflow come out as inf or
+    NaN, without a warning; _report rejects them.
     """
     g = np.asarray(levels, dtype=float)
     profile = scenario.profile
     if profile.kind != EMPIRICAL:
         return _score_chunks(scenario, g)
-    counts = np.zeros(len(profile.values), dtype=np.int64)
-    for _, _, n, rng in _chunks(scenario):
-        counts += np.bincount(profile.observation_index(rng.random(n)), minlength=len(counts))
-    values = np.asarray(profile.values)
+    counts = scenario._draw_counts
+    values = profile._observed
     if scenario.clamp_demand_to_agreed:
         values = np.minimum(values, scenario.stats.r_agreed)  # still sorted
     with np.errstate(all="ignore"):

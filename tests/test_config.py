@@ -287,6 +287,8 @@ class TestStrictness:
                 "stats: {<<: {r_agreed: 100, r_agreed: 90}, mean_demand: 40}\n",
                 "stats.<<.r_agreed",
             ),
+            # a control character in the key is escaped, so the message is one line
+            ('stats: {"x\\ny": 1, "x\\ny": 2}\n', "stats.x\\ny"),
         ],
     )
     def test_duplicate_keys_rejected_with_path(self, tmp_path, capsys, text, path):
@@ -297,6 +299,20 @@ class TestStrictness:
         assert err.value.path == path
         assert main(["balance", config]) == 1
         assert capsys.readouterr().err == f"config error: duplicate key: {path}\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('"a\\nb": 1\n', "unknown key: a\\nb"),
+            ('stats: {"x\\ny": 1}\n', "unknown key: stats.x\\ny"),
+            ('stats: {"x\\u2028\\x00\\ty": 1}\n', "unknown key: stats.x\\u2028\\x00\\ty"),
+        ],
+        ids=["unknown", "nested-unknown", "separators"],
+    )
+    def test_control_characters_in_keys_are_escaped(self, tmp_path, capsys, text, message):
+        config = write_config(tmp_path, text)
+        assert main(["balance", config, "--output", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_merge_keys_may_be_overridden(self, tmp_path):
         config = write_config(
@@ -891,3 +907,56 @@ def test_any_document_fails_only_with_a_config_error(tmp_path, document):
 
 def refuse_constant(name):
     raise AssertionError(f"{name} in a JSON output")
+
+
+# -- raw config files ---------------------------------------------------------
+
+# Every subcommand, each kept small: a few steps, a two-cell sweep.
+RAW_COMMANDS = [
+    ["balance"], ["etm"], ["simulate", "--steps", "3"], ["sweep", "--param", "c_en=1:2:2"],
+]
+
+
+@st.composite
+def mutated_documents(draw):
+    """A document of complete, typed sections written as YAML or JSON, then
+    up to three bytes replaced, inserted or deleted."""
+    document = complete(simulation={"steps": 5, "replications": 2, "seed": 7,
+                                    "energy_full": 2.0, "carbon_intensity": 0.5})
+    for name in (*KIND_KEYS, *SECTION_KEYS):
+        if draw(st.booleans()):
+            document[name] = draw(sections(name))
+    dump = draw(st.sampled_from([yaml.safe_dump, json.dumps]))
+    data = bytearray(dump(document).encode("utf-8"))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(data)))
+        byte = draw(st.binary(min_size=1, max_size=1))
+        edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+        data[at:at + (edit != "insert")] = b"" if edit == "delete" else byte
+    return bytes(data)
+
+
+RAW_FILES = st.one_of(
+    st.binary(max_size=200),
+    st.text(max_size=200).map(lambda text: text.encode("utf-8")),
+    mutated_documents(),
+)
+
+
+# Each example writes into a new directory under tmp_path, as above; the
+# pinned examples once failed.
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(RAW_FILES)
+@example(data=b'"a\\nb": 1\n')
+@example(data=b'market: {price_per_kg: 0, accounts: [{name: "\\ud800\\udc00", cap_kg: 0, '
+              b'emissions_kg: 0}]}\n')
+def test_any_file_fails_only_with_a_one_line_error(tmp_path, data):
+    directory = Path(tempfile.mkdtemp(dir=tmp_path))
+    path = directory / "scenario.yaml"
+    path.write_bytes(data)
+    for command in RAW_COMMANDS:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command[0], str(path), *command[1:], "--output", str(directory / "out")])
+        assert code in (0, 1, 2)
+        assert len(err.getvalue().splitlines()) <= 1 and "Traceback" not in err.getvalue()

@@ -485,10 +485,51 @@ class TestEmpiricalTally:
     def test_violations_match_a_count_of_the_draws(self, scenario, name, steps):
         run = self.run(scenario, name, steps)
         demand = drawn_demand(run)
-        violations, wasted = simulate._evaluate(run, self.LEVELS)
-        assert violations.tolist() == [int(np.count_nonzero(demand > g)) for g in self.LEVELS]
-        for g, total in zip(self.LEVELS, wasted.tolist()):
-            assert total == pytest.approx(float(exact_wasted(demand, g)), rel=1e-13, abs=0.0)
+        # the second evaluation of the same object reuses its counts
+        for levels in (self.LEVELS, [99.95, 40.0, 2.5, 40.0, 0.5]):
+            violations, wasted = simulate._evaluate(run, levels)
+            assert violations.tolist() == [int(np.count_nonzero(demand > g)) for g in levels]
+            for g, total in zip(levels, wasted.tolist()):
+                assert total == pytest.approx(float(exact_wasted(demand, g)), rel=1e-13, abs=0.0)
+
+    def test_one_scenario_draws_its_demand_once(self, scenario, monkeypatch):
+        run = self.run(scenario, "plain", 1000)
+        opened = []
+
+        def counting_rng(seed, index):
+            opened.append(index)
+            return _replication_rng(seed, index)
+
+        monkeypatch.setattr(simulate, "_replication_rng", counting_rng)
+        empirical_optimum(run, self.LEVELS)
+        compare_policies(run, [Policy.fixed_agreed(), Policy.balance(), Policy.fixed_level(40.0)])
+        run_simulation(run)
+        assert opened == list(range(run.replications))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"seed": 7},
+            {"steps": _CHUNK + 1},
+            {"replications": 1},
+            {"profile": make_profile("empirical", [9.0, 1.0, 2.0, 2.0])},
+        ],
+        ids=["seed", "steps", "replications", "profile"],
+    )
+    def test_counts_follow_a_replaced_scenario(self, scenario, change):
+        run = self.run(scenario, "duplicates", 1000)
+        for current in (run, replace(run, **change)):
+            counts = current._draw_counts
+            values = np.asarray(current.profile.values)
+            demand = drawn_demand(current)
+            assert counts.sum() == current.steps * current.replications
+            for v in np.unique(values):
+                assert counts[values == v].sum() == np.count_nonzero(demand == v)
+
+    def test_counts_are_read_only(self, scenario):
+        counts = self.run(scenario, "plain", 10)._draw_counts
+        with pytest.raises(ValueError):
+            counts[0] = 1
 
     @pytest.mark.parametrize("seed", [5, 2101, 77])
     def test_wasted_totals_are_no_further_from_exact_than_sorted_chunks(self, scenario, seed):
