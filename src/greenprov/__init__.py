@@ -23,7 +23,6 @@ from .balance import (
     balance_grid,
     balance_numeric,
     heuristic_band,
-    solve_balance,
     violation_probability_linear,
 )
 from .config import (
@@ -53,7 +52,6 @@ from .errors import (
     InvalidScenario,
     InvalidStats,
     NonFiniteResult,
-    NonzeroSatisfaction,
     NoRootInRange,
     PolicyUnresolvable,
     UnboundedSupport,
@@ -103,7 +101,6 @@ __all__ = [
     "LOGNORMAL",
     "MarketSettlement",
     "NonFiniteResult",
-    "NonzeroSatisfaction",
     "NoRootInRange",
     "MEAN_PLUS_VARIANCE",
     "ParsedConfig",
@@ -137,7 +134,6 @@ __all__ = [
     "run_simulation",
     "scenario_from_dict",
     "scenario_to_dict",
-    "solve_balance",
     "settle",
     "violation_probability_linear",
 ]

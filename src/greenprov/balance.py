@@ -9,14 +9,16 @@ the full agreed amount), and the violation probability interpolates between
 balance point equalizes the two per-time-unit costs; it is an equalization
 point, not a cost minimum.
 
-Two independent routes compute it: an algebraic closed form and a bisection
-solver on the cost-difference function, which also covers a nonzero
-customer-satisfaction surcharge.  Each is written once, elementwise over
-float64 values: ``balance_grid`` runs it on whole columns, and the scalar
-solvers run it directly on one cell's float64 scalars, whose selects are
-plain conditionals.  The reasons a cell has no balance, and their error
-texts, are one ordered table, ``FAILURES``, from which the dataclasses, the
-scalar solvers and ``balance_grid`` all check.
+The balance point, with or without a customer-satisfaction surcharge, is
+where a cost gap linear in the level crosses zero, so one closed form
+computes it: ``balance_closed_form`` on one cell, ``balance_grid`` on whole
+columns.  ``balance_numeric`` bisects the same gap instead, as an
+independent cross-check.  Both routes run through one ``_solve``,
+elementwise over float64 values: the grid on arrays, the scalar solvers on
+one cell's float64 scalars, whose selects are plain conditionals.  The
+reasons a cell has no balance, and their error texts, are one ordered
+table, ``FAILURES``, from which the dataclasses, the scalar solvers and
+``balance_grid`` all check.
 """
 
 from __future__ import annotations
@@ -27,13 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateCosts,
-    InvalidRates,
-    InvalidStats,
-    NonzeroSatisfaction,
-    NoRootInRange,
-)
+from .errors import DegenerateCosts, InvalidRates, InvalidStats, NoRootInRange
 
 # Bisection stops once the bracket is this fraction of max_demand wide
 # (linear cost curves converge long before the 200-iteration cap, which
@@ -141,21 +137,20 @@ _RATES_CHECKS = tuple(
             lambda v, name=name: ~np.isfinite(v[name]) | (v[name] < 0.0))
     for name in _RATES_FIELDS
 )
-# The solver values: the closed form runs where ``closed``, with total
-# weight ``total``; bisection elsewhere, with endpoint gaps ``gap_lo`` and
-# ``gap_hi`` and the ``residual`` gap at its root (NaN where not bisected).
+# The solver values: the total weight ``total`` of the closed form, the
+# gaps ``gap_lo`` and ``gap_hi`` at mean and max demand, and the
+# ``residual`` gap at the level found.
 _SOLVER_CHECKS = (
     Failure(DegenerateCosts, "both cost channels are zero; no balance exists", (),
-            lambda v: _where(v["closed"], v["total"] <= 0.0,
-                             (v["c_provision"] == 0.0) & (v["c_viol"] == 0.0))),
+            lambda v: v["total"] <= 0.0),
     Failure(DegenerateCosts,
             "cost weights overflow: max_demand * c_provision + r_agreed * c_viol is %s",
-            ("total",), lambda v: v["closed"] & ~np.isfinite(v["total"])),
+            ("total",), lambda v: ~np.isfinite(v["total"])),
     Failure(NoRootInRange,
             "cost difference does not cross zero on [%s, %s] (endpoints %.6g, %.6g)",
             ("mean_demand", "max_demand", "gap_lo", "gap_hi"),
             lambda v: (v["gap_lo"] > 0.0) | (v["gap_hi"] < 0.0)),
-    Failure(NoRootInRange, "bisection residual %.3g exceeds tolerance %.3g",
+    Failure(NoRootInRange, "balance residual %.3g exceeds tolerance %.3g",
             ("residual", "tolerance"), lambda v: np.abs(v["residual"]) > v["tolerance"]),
 )
 FAILURES = _STATS_CHECKS + _RATES_CHECKS + _SOLVER_CHECKS
@@ -179,7 +174,7 @@ def _first_failure(checks, values, offset):
     failure, failed = -1, np.False_
     for i in reversed(range(len(checks))):
         fails = checks[i].fails(values)
-        failure = np.where(fails, offset + i, failure)
+        failure = _where(fails, offset + i, failure)
         failed = failed | fails
     return failure, failed
 
@@ -187,10 +182,8 @@ def _first_failure(checks, values, offset):
 # The solver arithmetic below runs elementwise on float64 arrays or
 # scalars, with floating-point errors ignored by its callers: balance_grid
 # passes it whole columns, the scalar solvers one cell's float64 values.
-# Its selects and any-tests go through _where and _any, which on one cell's
-# numpy bool are a Python conditional and bool(), several times faster
-# than np.where and .any() on a 0-d value; for the same reason the
-# bisection loop negates with np.logical_not rather than ~.
+# Its selects go through _where, which on one cell's numpy bool is a
+# Python conditional, several times faster than np.where on a 0-d value.
 
 
 def _where(condition, x, y):
@@ -198,13 +191,6 @@ def _where(condition, x, y):
     if isinstance(condition, np.ndarray):
         return np.where(condition, x, y)
     return x if condition else y
-
-
-def _any(condition):
-    """Whether any element of ``condition`` holds."""
-    if isinstance(condition, np.ndarray):
-        return condition.any()
-    return bool(condition)
 
 
 def _violation_probability(r, max_demand):
@@ -234,164 +220,130 @@ def _columns(r, mean, peak, agreed, c_prov, c_viol):
     return r, w, w * c_prov, p, p * c_viol
 
 
-def _closed_form(mean, peak, agreed, c_prov, c_viol):
-    """Total cost weight and the closed-form level; the level stands only
-    where the total is positive and finite."""
-    total = peak * c_prov + agreed * c_viol
-    r = peak * (mean * c_prov + agreed * c_viol) / total
+def _gap(r, mean, peak, agreed, c_prov, c_viol, surcharge):
+    """Wastage cost minus expected penalty minus surcharge at level ``r``."""
+    wastage = (r - mean) / agreed * c_prov
+    return wastage - _violation_probability(r, peak) * c_viol - surcharge
+
+
+def _closed_form(mean, peak, agreed, c_prov, c_viol, surcharge, total):
+    """The level where the gap, linear on [mean, peak], is zero; it stands
+    only where the total weight is positive and finite and the gap crosses
+    zero on [mean, peak]."""
+    r = peak * (mean * c_prov + agreed * (c_viol + surcharge)) / total
     # Float rounding may land an ulp outside [mean, max]; the result type
     # promises containment.  Unlike np.maximum and np.minimum, these keep r
     # on ties (of signed zeros) and where a comparison meets NaN.
     r = _where(mean > r, mean, r)
     r = _where(peak < r, peak, r)
-    return total, _where(c_viol == 0.0, mean, _where(c_prov == 0.0, peak, r))
+    free_violations = (c_viol == 0.0) & (surcharge == 0.0)
+    return _where(free_violations, mean, _where(c_prov == 0.0, peak, r))
 
 
 def _tolerance(c_prov, c_viol, surcharge):
-    """Largest cost gap the bisection may leave at its root."""
+    """Largest cost gap a solved level may leave."""
     return 1e-9 * (c_prov + c_viol + surcharge)
 
 
-def _bisect(mean, peak, agreed, c_prov, c_viol, surcharge):
-    """Endpoint gaps, residual gap and root of the bisection on [mean, peak].
+def _bisect(gap, lo, hi, gap_lo, gap_hi):
+    """Root of the increasing ``gap`` on one cell's [lo, hi], by bisection.
 
-    The gap is wastage cost minus expected penalty minus surcharge.  A cell
-    has no root where gap_lo > 0 or gap_hi < 0, and its residual and root
-    mean nothing.  An endpoint with a zero gap is the root, with residual 0;
-    the other cells are bisected together, and their residual is the gap
-    left at the root.
+    An endpoint with a zero gap is the root, exactly.
     """
-
-    def gap(r):
-        wastage = (r - mean) / agreed * c_prov
-        return wastage - _violation_probability(r, peak) * c_viol - surcharge
-
-    gap_lo, gap_hi = gap(mean), gap(peak)
-    rooted = ~(gap_lo > 0.0) & ~(gap_hi < 0.0)
-    if not _any(rooted):
-        return gap_lo, gap_hi, 0.0, mean
-    bisected = active = rooted & (gap_lo != 0.0) & (gap_hi != 0.0)
-    lo, hi = mean, peak
-    width_target = _BISECT_REL_WIDTH * peak
+    if gap_lo >= 0.0 or gap_hi <= 0.0:
+        # an exact endpoint root; or no root, which the solver checks reject
+        return lo if gap_lo >= 0.0 else hi
+    width_target = _BISECT_REL_WIDTH * hi
     for _ in range(_BISECT_MAX_ITER):
-        active = active & np.logical_not(hi - lo <= width_target)
-        if not _any(active):
+        if hi - lo <= width_target:
             break
         mid = 0.5 * (lo + hi)
-        up = gap(mid) >= 0.0
-        hi = _where(active & up, mid, hi)
-        lo = _where(active & np.logical_not(up), mid, lo)
-    root = _where(bisected, 0.5 * (lo + hi), _where(gap_lo == 0.0, mean, peak))
-    return gap_lo, gap_hi, gap(root), root
+        if gap(mid) >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 @np.errstate(all="ignore")
-def _solve(values, closed, failure, failed):
+def _solve(values, failure, failed, bisect=False):
     """Balance the cells of ``values`` that have not ``failed`` yet: by the
-    closed form where ``closed``, by bisection elsewhere.
+    closed form, or by bisection on one cell's float64 values.
 
-    ``values`` maps the DemandStats and CostRates fields to float64 arrays;
-    the solver values the checks read are added to it.  Returns ``failure``
-    and ``failed`` as _first_failure does for every check, and the
-    BalanceResult columns, NaN where failed.
+    ``values`` maps the DemandStats and CostRates fields to float64 arrays
+    or scalars; the solver values the checks read are added to it.  Returns
+    ``failure`` and ``failed`` as _first_failure does for every check, and
+    the BalanceResult columns, which mean nothing where failed.
     """
     mean, peak, agreed, c_en, c_co2, c_viol, surcharge = (
         values[name] for name in _STATS_FIELDS + _RATES_FIELDS
     )
     c_prov = c_en + c_co2
-    total, r = _closed_form(mean, peak, agreed, c_prov, c_viol)
-    values.update(closed=closed, c_provision=c_prov, total=total,
-                  tolerance=_tolerance(c_prov, c_viol, surcharge))
-    gaps = ("gap_lo", "gap_hi", "residual")
-    for name in gaps:
-        values[name] = np.full(np.shape(mean), np.nan)
-    numeric = np.flatnonzero(~(failed | closed))
-    if numeric.size:
-        cell = [np.ravel(a)[numeric] for a in (mean, peak, agreed, c_prov, c_viol, surcharge)]
-        *found, root = _bisect(*cell)
-        for name, column in zip(gaps, found):
-            values[name].flat[numeric] = column
-        # a copy: on 0-d columns the closed form's selects may return an input
-        r = np.array(r)
-        r.flat[numeric] = root
+    cell = (mean, peak, agreed, c_prov, c_viol, surcharge)
+    total = peak * c_prov + agreed * c_viol
+    gap_lo, gap_hi = _gap(mean, *cell), _gap(peak, *cell)
+    if bisect:
+        r = _bisect(lambda r: _gap(r, *cell), mean, peak, gap_lo, gap_hi)
+    else:
+        r = _closed_form(*cell, total)
+    values.update(c_provision=c_prov, total=total, gap_lo=gap_lo, gap_hi=gap_hi,
+                  residual=_gap(r, *cell), tolerance=_tolerance(c_prov, c_viol, surcharge))
     solver, solver_failed = _first_failure(
         _SOLVER_CHECKS, values, len(FAILURES) - len(_SOLVER_CHECKS)
     )
     failure = np.where(failed, failure, solver)
     failed = failed | solver_failed
-    columns = _columns(r, mean, peak, agreed, c_prov, c_viol)
-    return failure, failed, tuple(np.where(failed, np.nan, c) for c in columns)
+    return failure, failed, _columns(r, mean, peak, agreed, c_prov, c_viol)
 
 
-def _solve_cell(stats: DemandStats, rates: CostRates, closed: bool) -> BalanceResult:
-    """One cell by the closed form or by bisection, raising the error of the
-    first of the solver checks it fails."""
+def _solve_cell(stats: DemandStats, rates: CostRates, bisect: bool) -> BalanceResult:
+    """One valid cell, raising the error of the first solver check it fails."""
     inputs = {**vars(stats), **vars(rates)}
     # float64 scalars divide by zero and overflow as the array columns do
-    mean, peak, agreed, c_en, c_co2, c_viol, surcharge = (
-        np.float64(inputs[name]) for name in _STATS_FIELDS + _RATES_FIELDS
-    )
-    with np.errstate(all="ignore"):
-        c_prov = c_en + c_co2
-        total, r = _closed_form(mean, peak, agreed, c_prov, c_viol)
-        gap_lo = gap_hi = residual = np.nan
-        if not closed:
-            gap_lo, gap_hi, residual, r = _bisect(mean, peak, agreed, c_prov, c_viol, surcharge)
-        values = dict(
-            closed=closed, c_provision=c_prov, c_viol=c_viol, total=total,
-            tolerance=_tolerance(c_prov, c_viol, surcharge),
-            gap_lo=gap_lo, gap_hi=gap_hi, residual=residual,
-        )
-        for check in _SOLVER_CHECKS:
-            if check.fails(values):
-                # the fields as given, so the message prints them as the checks do
-                raise check.exception({name: float(x) for name, x in values.items()} | inputs)
-        columns = _columns(r, mean, peak, agreed, c_prov, c_viol)
+    values = {name: np.float64(x) for name, x in inputs.items()}
+    failure, failed, columns = _solve(values, -1, np.False_, bisect)
+    if failed:
+        # the fields as given, so the message prints them as the checks do
+        raise FAILURES[failure].exception({name: float(x) for name, x in values.items()} | inputs)
     return BalanceResult(*map(float, columns))
 
 
 def balance_closed_form(stats: DemandStats, rates: CostRates) -> BalanceResult:
-    """Algebraic equilibrium of wastage cost against expected penalty.
+    """Balance point: where wastage cost equals expected penalty plus the
+    satisfaction surcharge.
 
-    The level is the weighted average of mean and max demand with weights
-    max*(c_en + c_co2) and r_agreed*c_viol, so it always lies between the
-    two.  Only valid for a zero satisfaction term; the boundary cases
-    (one cost channel priced at zero) return the exact endpoint.  Raises
-    DegenerateCosts when both weights are zero or their sum overflows.
+    The cost gap is linear on [mean_demand, max_demand], so its zero is
+
+        max * (mean * (c_en + c_co2) + r_agreed * (c_viol + satisfaction))
+            / (max * (c_en + c_co2) + r_agreed * c_viol),
+
+    at zero satisfaction the weighted average of mean and max demand.  The
+    boundary cases (free violations and no surcharge, or free provisioning)
+    return the exact endpoint.  Raises DegenerateCosts when both weights are
+    zero or their sum overflows, and NoRootInRange when the surcharge
+    exceeds the wastage cost even at max demand or the level's residual cost
+    gap exceeds 1e-9 * (c_en + c_co2 + c_viol + satisfaction).
     """
-    if rates.satisfaction != 0.0:
-        raise NonzeroSatisfaction(
-            "closed form requires satisfaction == 0; use balance_numeric"
-        )
-    return _solve_cell(stats, rates, closed=True)
+    return _solve_cell(stats, rates, bisect=False)
 
 
 def balance_numeric(stats: DemandStats, rates: CostRates) -> BalanceResult:
-    """Bisection on the cost difference, generalizing to satisfaction >= 0.
+    """:func:`balance_closed_form` by bisection on the cost difference, an
+    independent cross-check of the closed form.
 
     Searches [mean_demand, max_demand]: wastage is zero at the lower end and
     the violation probability is zero at the upper end, so any crossing of
 
         wastage cost(r) - expected penalty(r) - satisfaction
 
-    lies inside.  The residual cost gap at the returned level is at most
-    1e-9 * (c_en + c_co2 + c_viol + satisfaction).  Raises DegenerateCosts
-    when both prices are zero, and NoRootInRange when the surcharge exceeds
-    the wastage cost even at max demand or the bisection cannot bring the
-    residual within that tolerance.
+    lies inside.  Runs the same checks as the closed form, and raises the
+    same errors.
     """
-    return _solve_cell(stats, rates, closed=False)
-
-
-def solve_balance(stats: DemandStats, rates: CostRates) -> BalanceResult:
-    """Balance point: the closed form at zero satisfaction, bisection otherwise."""
-    if rates.satisfaction == 0.0:
-        return balance_closed_form(stats, rates)
-    return balance_numeric(stats, rates)
+    return _solve_cell(stats, rates, bisect=True)
 
 
 def balance_grid(mean_demand, max_demand, r_agreed, c_en, c_co2, c_viol, satisfaction):
-    """:func:`solve_balance` over float64 arrays, one cell per element.
+    """:func:`balance_closed_form` over float64 arrays, one cell per element.
 
     The seven inputs are the DemandStats and CostRates fields; they are
     broadcast against each other.  Returns ``(failure, columns, values)``:
@@ -401,27 +353,21 @@ def balance_grid(mean_demand, max_demand, r_agreed, c_en, c_co2, c_viol, satisfa
     - ``columns`` holds the BalanceResult fields in declaration order, NaN
       where not solved;
     - ``values`` maps each name the checks read to its array: the seven
-      inputs, ``c_provision``, ``closed`` (where the closed form runs),
-      its weight ``total``, and the bisection's ``gap_lo``, ``gap_hi``,
-      ``residual`` and ``tolerance``.
+      inputs, ``c_provision``, the closed form's weight ``total``, the gaps
+      ``gap_lo`` and ``gap_hi`` at mean and max demand, the ``residual``
+      gap at the level and its ``tolerance``.
 
     Cell ``i`` fails with ``FAILURES[failure[i]].exception(cell)``, where
     ``cell`` maps each name in ``values`` to its value at ``i``.  The
-    scalar solvers run the same closed form, bisection and checks on one
-    cell's scalars, so a solved cell is bit-identical to the scalar result.
+    scalar solvers run the same arithmetic and checks on one cell's
+    scalars, so a solved cell is bit-identical to balance_closed_form.
     """
-    values = dict(zip(
-        _STATS_FIELDS + _RATES_FIELDS,
-        np.broadcast_arrays(
-            *(
-                np.asarray(a, dtype=float)
-                for a in (mean_demand, max_demand, r_agreed, c_en, c_co2, c_viol, satisfaction)
-            )
-        ),
-    ))
+    inputs = (mean_demand, max_demand, r_agreed, c_en, c_co2, c_viol, satisfaction)
+    arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in inputs))
+    values = dict(zip(_STATS_FIELDS + _RATES_FIELDS, arrays))
     failure, failed = _first_failure(_STATS_CHECKS + _RATES_CHECKS, values, 0)
-    failure, _, columns = _solve(values, values["satisfaction"] == 0.0, failure, failed)
-    return failure, columns, values
+    failure, failed, columns = _solve(values, failure, failed)
+    return failure, tuple(np.where(failed, np.nan, c) for c in columns), values
 
 
 def heuristic_band(

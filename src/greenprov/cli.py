@@ -30,13 +30,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .balance import FAILURES, CostRates, DemandStats, balance_grid, solve_balance
+from .balance import FAILURES, CostRates, DemandStats, balance_closed_form, balance_grid
 from .config import build_scenario, load_config, scenario_to_dict
 from .errors import (
     ConfigError,
     DegenerateCosts,
     NonFiniteResult,
-    NonzeroSatisfaction,
     NoRootInRange,
     PolicyUnresolvable,
 )
@@ -172,7 +171,7 @@ def cmd_balance(args) -> int:
     parsed = load_config(args.config)
     rates = parsed.require("rates")
     stats = parsed.stats()
-    result = solve_balance(stats, rates)
+    result = balance_closed_form(stats, rates)
     text = _json_record(
         {
             "stats": dataclasses.asdict(stats),
@@ -349,7 +348,7 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (DegenerateCosts, NonzeroSatisfaction, NoRootInRange) as exc:
+    except (DegenerateCosts, NoRootInRange) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 2
     except PolicyUnresolvable as exc:

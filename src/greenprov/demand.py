@@ -340,6 +340,7 @@ def _mean(x: np.ndarray) -> float:
 # arrays.
 
 _SQRT_PI = math.sqrt(math.pi)
+_LOG_ERF_SLOPE = 0.5 * math.log(2.0 / math.pi)  # log of erf(x/sqrt 2)' at x = 0
 _DEKKER = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
 _LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10  # sum: log 2
 
@@ -440,13 +441,23 @@ def _mass(a: float, b: float, width: float) -> tuple[float, float]:
     1 nor needs 1 - Phi; there t is its end nearest 0.  A window that
     straddles 0, or lies within 1 of it, has t = 0 and is a difference of
     erf values, which for a straddling window are of opposite sign, so a
-    narrow window keeps its relative precision.
+    narrow window keeps its relative precision.  Where the erf values are
+    equal, the window is narrow enough that the density is flat on it, and
+    the mass is taken from its width.  A mass that underflows has r = -inf.
     """
     if a + b > 0.0:
         a, b = -b, -a
     if b <= 0.0 and a < -1.0:
-        return b, math.log(-math.expm1(_log_ndtr_ratio(a, b, width)))
-    return 0.0, math.log(math.erf(b * _SQRT_HALF) - math.erf(a * _SQRT_HALF))
+        return b, _log(-math.expm1(_log_ndtr_ratio(a, b, width)))
+    mass = math.erf(b * _SQRT_HALF) - math.erf(a * _SQRT_HALF)
+    if mass == 0.0:
+        return 0.0, _log(width) + _LOG_ERF_SLOPE - 0.5 * a * a
+    return 0.0, math.log(mass)
+
+
+def _log(x: float) -> float:
+    """log x for x >= 0, -inf at 0."""
+    return math.log(x) if x > 0.0 else -math.inf
 
 
 def _log_mass_ratio(m1: tuple[float, float], m2: tuple[float, float]) -> float:

@@ -32,13 +32,9 @@ class DegenerateCosts(ValueError):
     information, or their weights overflow a float."""
 
 
-class NonzeroSatisfaction(ValueError):
-    """The closed-form balance only covers a zero satisfaction term."""
-
-
 class NoRootInRange(ValueError):
     """The cost-difference function has no zero between mean and max demand,
-    or bisection cannot bring its residual within tolerance."""
+    or the residual cost gap at the level found exceeds tolerance."""
 
 
 class NonFiniteResult(ArithmeticError):

@@ -24,8 +24,8 @@ from .balance import (
     BalanceResult,
     CostRates,
     DemandStats,
+    balance_closed_form,
     heuristic_band,
-    solve_balance,
     violation_probability_linear,
 )
 from .demand import EMPIRICAL, DemandProfile
@@ -106,7 +106,7 @@ class Policy:
 
 def _balance(stats: DemandStats, rates: CostRates) -> BalanceResult:
     try:
-        return solve_balance(stats, rates)
+        return balance_closed_form(stats, rates)
     except (DegenerateCosts, NoRootInRange) as exc:
         raise PolicyUnresolvable(f"balance policy unresolvable: {exc}") from exc
 

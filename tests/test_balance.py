@@ -8,6 +8,7 @@ independent.
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,13 +23,11 @@ from greenprov import (
     DemandStats,
     InvalidRates,
     InvalidStats,
-    NonzeroSatisfaction,
     NoRootInRange,
     balance_closed_form,
     balance_grid,
     balance_numeric,
     heuristic_band,
-    solve_balance,
     violation_probability_linear,
 )
 
@@ -155,11 +154,7 @@ class TestClosedForm:
         # would be inf / inf, a NaN
         for rates in (CostRates(0.5, 0, 1e308), CostRates(1e308, 1e308, 0)):
             with pytest.raises(DegenerateCosts, match="overflow"):
-                solve_balance(stats, rates)
-
-    def test_nonzero_satisfaction_refused(self, stats):
-        with pytest.raises(NonzeroSatisfaction):
-            balance_closed_form(stats, CostRates(1, 0, 1, satisfaction=0.5))
+                balance_closed_form(stats, rates)
 
     def test_level_always_between_mean_and_max(self):
         rng = np.random.default_rng(2901)
@@ -190,6 +185,22 @@ class TestClosedForm:
         ]
         assert all(a >= b for a, b in zip(levels, levels[1:]))
 
+    def test_level_matches_exact_root(self):
+        # the root of the linear gap in exact rational arithmetic
+        rng = np.random.default_rng(2903)
+        for _ in range(2000):
+            stats, rates = random_cell(rng)
+            mean, peak, agreed = map(Fraction, vars(stats).values())
+            c_prov = Fraction(rates.c_en) + Fraction(rates.c_co2)
+            c_viol, surcharge = Fraction(rates.c_viol), Fraction(rates.satisfaction)
+            exact = peak * (mean * c_prov + agreed * (c_viol + surcharge)) / (
+                peak * c_prov + agreed * c_viol
+            )
+            if not mean <= exact <= peak:
+                continue  # no root
+            r = balance_closed_form(stats, rates).r_provisioned
+            assert abs(Fraction(r) - exact) <= Fraction(1e-14) * exact, (stats, rates)
+
     def test_only_the_price_sum_matters(self, stats):
         rng = np.random.default_rng(77)
         for _ in range(200):
@@ -215,6 +226,22 @@ class TestNumeric:
         assert result.r_provisioned == pytest.approx(2.0 / 0.0325, rel=1e-9)
         oracle = oracle_balance(40, 80, 100, 2.0, 0.0, 1.0, satisfaction=0.2)
         assert result.r_provisioned == pytest.approx(oracle, abs=1e-9)
+
+    def test_agrees_with_closed_form_under_surcharge(self):
+        rng = np.random.default_rng(2902)
+        outcomes = set()
+        for _ in range(10_000):
+            stats, rates = random_cell(rng)
+            closed, numeric = (solver_outcome(solver, stats, rates)
+                               for solver in (balance_closed_form, balance_numeric))
+            outcomes.add(type(closed).__name__)
+            if isinstance(closed, BalanceResult):
+                assert isinstance(numeric, BalanceResult), (stats, rates, numeric)
+                gap = abs(closed.r_provisioned - numeric.r_provisioned)
+                assert gap <= 1e-9 * stats.max_demand, (stats, rates)
+            else:
+                assert (type(numeric), str(numeric)) == (type(closed), str(closed))
+        assert outcomes == {"BalanceResult", "NoRootInRange"}
 
     def test_balance_condition_holds_at_solution(self, stats):
         rates = CostRates(c_en=2.0, c_co2=0.0, c_viol=1.0, satisfaction=0.2)
@@ -308,24 +335,19 @@ class TestScalarContract:
             balance_numeric(DemandStats(40, 80, 100), CostRates(2, 0, 1, satisfaction=10))
 
     def test_residual_above_tolerance_text(self):
-        # a one-ulp demand range: bisection cannot move off the low end
+        # a one-ulp demand range: the closed form underflows to the low end,
+        # and bisection cannot move off it
         stats = DemandStats(0.0, 5e-324, 5e-324)
-        with pytest.raises(NoRootInRange) as caught:
-            balance_numeric(stats, CostRates(1.0, 0.0, 1.0, satisfaction=0.5))
-        assert str(caught.value) == "bisection residual -1.5 exceeds tolerance 2.5e-09"
-
-
-class TestSolveBalance:
-    def test_dispatches_on_satisfaction(self, stats, rates):
-        assert solve_balance(stats, rates) == balance_closed_form(stats, rates)
-        surcharged = CostRates(2.0, 0.0, 1.0, satisfaction=0.2)
-        assert solve_balance(stats, surcharged) == balance_numeric(stats, surcharged)
+        for solver in (balance_closed_form, balance_numeric):
+            with pytest.raises(NoRootInRange) as caught:
+                solver(stats, CostRates(1.0, 0.0, 1.0, satisfaction=0.5))
+            assert str(caught.value) == "balance residual -1.5 exceeds tolerance 2.5e-09"
 
 
 class TestBalanceGrid:
     # Every validation rule, both closed-form endpoints, degenerate prices,
     # sums and products that overflow to inf/NaN, a closed form that rounds
-    # above max_demand (c_en 1e-200, c_viol 0.009), bisection with and
+    # above max_demand (c_en 1e-200, c_viol 0.009), a surcharge with and
     # without a root, and an exact endpoint root ((80 - 40) / 100 * 0.5 == 0.2).
     AXES = (
         (0.0, 20.0, 40.0, 79.9, 80.0, 90.0, -1.0, math.nan),  # mean_demand
@@ -355,12 +377,12 @@ class TestBalanceGrid:
         assert FAILURES[no_root].error is NoRootInRange and np.isnan(columns[0])
 
     def test_scalar_inputs_are_one_cell(self, stats):
-        # closed form, bisection, and a bisection whose closed-form level is an input
+        # no surcharge, a surcharge, and a surcharge with free violations
         for rates in (CostRates(1.5, 0.5, 1.0), CostRates(2.0, 0.0, 1.0, 0.2),
                       CostRates(2.0, 0.0, 0.0, 0.2)):
             failure, columns, values = balance_grid(*vars(stats).values(), *vars(rates).values())
             assert failure.shape == () and failure == -1
-            expected = dataclasses.astuple(solve_balance(stats, rates))
+            expected = dataclasses.astuple(balance_closed_form(stats, rates))
             assert tuple(c.item() for c in columns) == expected
             assert [values[name].item() for name in vars(stats)] == [40.0, 80.0, 100.0]
 
@@ -376,10 +398,27 @@ class TestBalanceGrid:
         assert (failure >= 0).tolist() == [[False, True], [False, False]]
         assert "< mean_demand (90.0)" in str(grid_error(failure, values, (0, 1)))
         for index in ((0, 0), (1, 0), (1, 1)):
-            expected = solve_balance(
+            expected = balance_closed_form(
                 DemandStats(means[index], 80.0, 100.0), CostRates(1.5, 0.5, 1.0, 0.05)
             )
             assert columns[0][index] == expected.r_provisioned
+
+
+def random_cell(rng):
+    """Demand stats and rates with a surcharge, over several orders of magnitude."""
+    agreed = 10.0 ** rng.uniform(-1, 3)
+    peak = agreed * rng.uniform(0.05, 1.0)
+    mean = peak * rng.uniform(0.0, 1.0)
+    c_en, c_co2, c_viol = 10.0 ** rng.uniform(-3, 2, 3)
+    return DemandStats(mean, peak, agreed), CostRates(c_en, c_co2, c_viol, 10.0 ** rng.uniform(-4, 1))
+
+
+def solver_outcome(solver, stats, rates):
+    """The solver's BalanceResult, or the error it raises."""
+    try:
+        return solver(stats, rates)
+    except ValueError as exc:
+        return exc
 
 
 def scalar_outcome(mean, peak, agreed, c_en, c_co2, c_viol, satisfaction):
@@ -387,7 +426,7 @@ def scalar_outcome(mean, peak, agreed, c_en, c_co2, c_viol, satisfaction):
     try:
         stats = DemandStats(mean, peak, agreed)
         rates = CostRates(c_en, c_co2, c_viol, satisfaction)
-        return solve_balance(stats, rates)
+        return balance_closed_form(stats, rates)
     except ValueError as exc:
         return exc
 
@@ -442,14 +481,14 @@ def grid_cells(draw):
         fields = [abs(x) if x else x for x in fields]
         fields[:3] = sorted(fields[:3])
     if draw(st.booleans()):
-        fields[6] = 0.0  # the closed form
+        fields[6] = 0.0  # no surcharge
     return tuple(fields)
 
 
 @PROPERTY
 @given(st.lists(grid_cells(), min_size=1, max_size=6))
 @example([(40.0, 80.0, 100.0, 1.5, 0.5, 1.0, 0.0), (79.9, 80.0, 100.0, 1.5, 0.5, 1.0, 5.0)])
-# a one-ulp demand range, whose bisection leaves a residual above tolerance
+# a one-ulp demand range, whose level leaves a residual above tolerance
 @example([(0.0, 5e-324, 5e-324, 1.0, 0.0, 1.0, 0.5)])
 def test_grid_solves_exactly_what_the_scalar_path_solves(cells):
     assert_grid_matches_scalar_path(cells, *balance_grid(*np.array(cells).T))
@@ -476,7 +515,7 @@ def test_solved_level_lies_in_demand_range(
     mean = peak * mean_share
     stats = DemandStats(mean, peak, agreed)
     try:
-        r = solve_balance(stats, CostRates(c_en, c_co2, c_viol, satisfaction)).r_provisioned
+        r = balance_closed_form(stats, CostRates(c_en, c_co2, c_viol, satisfaction)).r_provisioned
     except (DegenerateCosts, NoRootInRange):
         return  # not solved
     assert mean <= r <= peak

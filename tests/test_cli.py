@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from greenprov import DemandStats, CostRates, balance_closed_form, solve_balance
+from greenprov import DemandStats, CostRates, balance_closed_form
 from greenprov.cli import _ROW_BLOCK, SWEEP_PARAMS, _csv_field, _fmt, _json_record, main
 from greenprov.config import build_scenario, load_config, scenario_from_dict
 from greenprov.demand import FAMILIES
@@ -70,8 +70,8 @@ market:
 """
 
 
-# Stats and rates whose bisection cannot bring the residual within
-# tolerance (4.9e-324 is the smallest subnormal).
+# Stats and rates whose balance level leaves a cost gap above tolerance
+# (4.9e-324 is the smallest subnormal, and the closed form underflows to 0).
 RESIDUAL = """
 stats: {mean_demand: 0.0, max_demand: 4.9e-324, r_agreed: 4.9e-324}
 rates: {c_en: 1, c_co2: 0, c_viol: 1, satisfaction: 0.5}
@@ -157,11 +157,11 @@ class TestBalanceCommand:
         assert main(["balance", path]) == 2
 
     def test_residual_above_tolerance_exit_two(self, tmp_path, capsys):
-        # a one-ulp demand range: bisection leaves a residual above tolerance
+        # a one-ulp demand range: the level leaves a residual above tolerance
         path = write(tmp_path, RESIDUAL)
         assert main(["balance", path]) == 2
         assert capsys.readouterr().err == (
-            "solver error: bisection residual -1.5 exceeds tolerance 2.5e-09\n"
+            "solver error: balance residual -1.5 exceeds tolerance 2.5e-09\n"
         )
 
     @pytest.mark.parametrize("extra", ["", "max_method: mean_plus_variance"])
@@ -533,8 +533,8 @@ class TestSweepCommand:
         assert capsys.readouterr().err == ""
         errors = [row[-1] for row in read_csv(out / "sweep.csv")[1:]]
         assert errors == [
-            "bisection residual -1.5 exceeds tolerance 2.5e-09",
-            "bisection residual -1.5 exceeds tolerance 3.5e-09",
+            "balance residual -1.5 exceeds tolerance 2.5e-09",
+            "balance residual -1.5 exceeds tolerance 3.5e-09",
         ]
 
 
@@ -559,7 +559,7 @@ def reference_sweep_csv(base: dict, satisfaction: float, params) -> bytes:
         values.update(zip(names, (float(v) for v in combo)))
         row = [_fmt(values[k]) for k in SWEEP_INPUTS] + [_fmt(satisfaction)]
         try:
-            result = solve_balance(
+            result = balance_closed_form(
                 DemandStats(values["mean_demand"], values["max_demand"], values["r_agreed"]),
                 CostRates(values["c_en"], values["c_co2"], values["c_viol"], satisfaction),
             )
@@ -634,7 +634,7 @@ class TestSweepMatchesPerCellLoop:
         (0.5, ["mean_demand=0:40:2", "max_demand=5e-324:80:2", "r_agreed=5e-324:100:2",
                "c_en=1:2:2"],
          ["< mean_demand", "exceeds r_agreed", "does not cross zero",
-          "bisection residual"]),
+          "balance residual"]),
     ], ids=["closed-form", "bisection"])
     def test_every_failure_reason(self, tmp_path, satisfaction, params, errors):
         text = self.run(tmp_path, satisfaction, params)

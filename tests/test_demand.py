@@ -13,11 +13,13 @@ import numpy as np
 import pytest
 
 from greenprov import (
+    LOGNORMAL,
     DemandProfile,
     InvalidDistribution,
     UnboundedSupport,
     make_profile,
 )
+from greenprov.cli import main
 from greenprov.demand import (
     DEFAULT_QUANTILE,
     MEAN_PLUS_VARIANCE,
@@ -471,6 +473,68 @@ def test_lognormal_matches_mpmath(mu_log, sigma_log, beta):
         hi = profile.quantile(0.999) if upper is None else upper
         points = [hi * f for f in (0.2, 0.5, 0.8, 0.95)]
         check_against(profile, m1, moment(2) - m1 * m1, tail, ppf, points)
+
+
+def mp_sf(x):
+    """1 - Phi(x) in mpmath; past 1e6, where mpmath's erfc overflows, by the
+    Mills ratio phi(x) / x, within 1e-12 relative."""
+    return mpmath.npdf(x) / x if x > 1e6 else mpmath.ncdf(-x)
+
+
+def mp_tail(profile, r):
+    """P(demand > r) of a truncated normal or truncated lognormal profile, in mpmath."""
+    if profile.kind == LOGNORMAL:
+        m, s = mpmath.mpf(profile.mu_log), mpmath.mpf(profile.sigma_log)
+        z, top = ((mpmath.log(x) - m) / s for x in (r, profile.upper))
+        return (mp_sf(z) - mp_sf(top)) / (1 - mp_sf(top))
+    if r >= profile.upper:
+        return mpmath.mpf(0)
+    mu, sigma = mpmath.mpf(profile.mu), mpmath.mpf(profile.sigma)
+    a, b, z = ((mpmath.mpf(x) - mu) / sigma for x in (profile.lower, profile.upper, r))
+    return mp_mass(z, b) / mp_mass(a, b)
+
+
+@pytest.mark.parametrize("demand,policy", [
+    # 1.3e172 sigma from mu, the window's standardized ends round to one
+    # value, so their erf values are equal
+    ("{kind: truncated_normal, mu: 1.3408154261727037e+172, "
+     "sigma: 1.3408154261727037e+172, lower: 41, upper: 60}",
+     "{kind: balance_band, x_percent: 0}"),
+    ("{kind: truncated_normal, mu: 1.3408154261727037e+172, "
+     "sigma: 1.3408154261727037e+172, lower: 41, upper: 60}",
+     "{kind: fixed_level, level: 50}"),
+    # 1.8e196 sigma below the truncation point, a tail window's ends round
+    # to one value
+    ("{kind: lognormal, mu_log: -3.889967148019919e+168, "
+     "sigma_log: 2.1217272361793966e-28, upper: 81}",
+     "{kind: balance}"),
+], ids=["truncated-normal-band", "truncated-normal-level", "lognormal"])
+def test_tail_windows_whose_ends_round_together(tmp_path, capsys, monkeypatch, demand, policy):
+    calls = []
+    tail_probability = DemandProfile.tail_probability
+
+    def recorded(profile, r):
+        calls.append((profile, r, tail_probability(profile, r)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(DemandProfile, "tail_probability", recorded)
+    config = tmp_path / "scenario.yaml"
+    config.write_text(
+        f"demand: {demand}\nstats: {{r_agreed: 100}}\n"
+        "rates: {c_en: 1.5, c_co2: 0.5, c_viol: 1.0}\n"
+        f"policy: {policy}\n"
+        "simulation: {steps: 100, replications: 2, seed: 7, energy_full: 2.0, "
+        "carbon_intensity: 0.5}\n",
+        encoding="utf-8",
+    )
+    code = main(["simulate", str(config), "--output", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert (code, err) == (0, "") or (code in (1, 2) and err.count("\n") == 1), err
+    assert calls
+    with mpmath.workdps(250):  # the truncated normal's window is 1.4e-171 sigma wide
+        for profile, r, got in calls:
+            want = mp_tail(profile, r)
+            assert got == float(want) or close(got, want), (r, got, want)
 
 
 def test_far_narrow_window_quantiles():

@@ -26,7 +26,6 @@ from greenprov import (
     realized_cost,
     resolve_policy,
     run_simulation,
-    solve_balance,
 )
 from greenprov import balance, simulate
 from greenprov.simulate import _CHUNK, _replication_rng
@@ -103,9 +102,11 @@ class TestResolvePolicy:
         assert resolve_policy(Policy.balance(), stats, rates) == expected
 
     def test_balance_with_surcharge_uses_numeric(self, stats):
+        # the surcharged balance is the closed form too; bisection cross-checks it
         rates = CostRates(2.0, 0.0, 1.0, satisfaction=0.2)
-        expected = balance_numeric(stats, rates).r_provisioned
-        assert resolve_policy(Policy.balance(), stats, rates) == expected
+        level = resolve_policy(Policy.balance(), stats, rates)
+        assert level == balance_closed_form(stats, rates).r_provisioned
+        assert abs(level - balance_numeric(stats, rates).r_provisioned) <= 1e-9 * stats.max_demand
 
     def test_balance_degenerate_raises(self, stats):
         for policy in (Policy.balance(), Policy.balance_band(0.1)):
@@ -119,7 +120,7 @@ class TestResolvePolicy:
             calls.append(args)
             return balance_closed_form(*args)
 
-        monkeypatch.setattr(balance, "balance_closed_form", counting)
+        monkeypatch.setattr(simulate, "balance_closed_form", counting)
         resolve_policy(Policy.balance_band(0.1), stats, rates)
         assert len(calls) == 1
 
@@ -595,9 +596,9 @@ class TestComparePolicies:
 
         def counted(*args):
             calls.append(args)
-            return solve_balance(*args)
+            return balance_closed_form(*args)
 
-        monkeypatch.setattr(simulate, "solve_balance", counted)
+        monkeypatch.setattr(simulate, "balance_closed_form", counted)
         policies = [Policy.balance(), Policy.balance_band(0.2), Policy.fixed_agreed()]
         run = replace(scenario, rates=rates)
         comparison = compare_policies(run, policies)
