@@ -25,7 +25,10 @@ import dataclasses
 import itertools
 import json
 import math
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -184,43 +187,74 @@ def cmd_balance(args) -> int:
     return 0
 
 
-def _trace_rows(report):
-    """trace.csv lines, _ROW_BLOCK steps at a time."""
-    level, rates = report.provision_level, report.scenario.rates
-    agreed = report.scenario.stats.r_agreed
-    for replication, first_step, demand in report.trace:
+def _trace_writer(handle, scenario):
+    """A run_simulation hook writing each demand chunk's trace.csv lines at
+    the resolved level to ``handle``, _ROW_BLOCK rows at a time."""
+    rates, agreed = scenario.rates, scenario.stats.r_agreed
+
+    def write(level, chunk):
         # The replication and level are constant, and a violated row wastes
-        # nothing (c_provision is finite, as the report's totals are) and
-        # pays the penalty: only its step and demand vary.
-        head = f"{replication},%d,%.12g,{_fmt(level)},"
-        violated, met = head + f"1,0,0,{_fmt(rates.c_viol)}\n", head + "0,%.12g,%.12g,0\n"
+        # nothing and pays the penalty: only its step and demand vary. Each
+        # block is one % of its rows' templates, joined in row order, over
+        # one flat list of the values they take.
+        head = f"{chunk.replication},%d,%.12g,{_fmt(level)},"
+        templates = np.array([head + "0,%.12g,%.12g,0\n",
+                              head + f"1,0,0,{_fmt(rates.c_viol)}\n"], dtype=object)
+        demand = chunk.demand
         for start in range(0, len(demand), _ROW_BLOCK):
             d = demand[start:start + _ROW_BLOCK]
-            wasted = np.maximum(level - d, 0.0)
-            # + 0.0 turns negative zero into plain zero before printing
-            columns = (d > level, d + 0.0, wasted + 0.0,
-                       wasted / agreed * rates.c_provision + 0.0)
-            steps = itertools.count(first_step + start)
-            yield [violated % (i, x) if v else met % (i, x, w, c)
-                   for i, v, x, w, c in zip(steps, *(c.tolist() for c in columns))]
+            step = chunk.first_step + start
+            violated = d > level
+            values = np.empty((len(d), 4), dtype=object)  # steps stay Python ints
+            values[:, 0] = range(step, step + len(d))
+            # This runs before the report's totals are checked, on values
+            # that check may yet reject; like the scoring, it must not warn.
+            with np.errstate(all="ignore"):
+                wasted = np.maximum(level - d, 0.0)
+                # + 0.0 turns negative zero into plain zero before printing
+                values[:, 1] = d + 0.0
+                values[:, 2] = wasted + 0.0
+                values[:, 3] = wasted / agreed * rates.c_provision + 0.0
+            filled = np.ones(values.shape, dtype=bool)
+            filled[violated, 2:] = False
+            handle.write("".join(templates[violated.astype(np.intp)].tolist())
+                         % tuple(values[filled].tolist()))
+
+    return write
 
 
 def cmd_simulate(args) -> int:
     parsed = load_config(args.config)
     scenario = build_scenario(parsed, seed_override=args.seed, steps_override=args.steps)
-    report = run_simulation(scenario, trace=args.trace)
     out = _out_dir(args)
-    record = {
-        "seed": scenario.seed,
-        "scenario": scenario_to_dict(scenario),
-        "aggregate": report.aggregate_dict(),
-    }
-    _write_text(out / "report.json", [_json_record(record)])
-    print(f"seed: {scenario.seed}")
-    print(f"wrote {out / 'report.json'}")
-    if args.trace:
-        _write_csv(out / "trace.csv", TRACE_HEADER, _trace_rows(report))
-        print(f"wrote {out / 'trace.csv'}")
+    staged = None
+    try:
+        if args.trace:
+            # trace.csv is written as the demand is scored, into a new file
+            # beside it that replaces it once report.json is written, so a
+            # run that fails leaves both files as they were.
+            fd, staged = tempfile.mkstemp(prefix=".trace.csv.", dir=out)
+            with open(fd, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(",".join(TRACE_HEADER) + "\n")
+                report = run_simulation(scenario, on_chunk=_trace_writer(handle, scenario))
+        else:
+            report = run_simulation(scenario)
+        record = {
+            "seed": scenario.seed,
+            "scenario": scenario_to_dict(scenario),
+            "aggregate": report.aggregate_dict(),
+        }
+        _write_text(out / "report.json", [_json_record(record)])
+        print(f"seed: {scenario.seed}")
+        print(f"wrote {out / 'report.json'}")
+        if staged:
+            # mkstemp makes the file private; give it report.json's mode
+            shutil.copymode(out / "report.json", staged)
+            os.replace(staged, out / "trace.csv")
+            print(f"wrote {out / 'trace.csv'}")
+    finally:
+        if staged:
+            Path(staged).unlink(missing_ok=True)
     return 0
 
 

@@ -282,7 +282,9 @@ def _demand_chunks(scenario: Scenario) -> Iterator[StepTrace]:
         yield StepTrace(rep, start, demand)
 
 
-def _evaluate(scenario: Scenario, levels) -> tuple[np.ndarray, np.ndarray]:
+def _evaluate(
+    scenario: Scenario, levels, on_chunk: Callable[[StepTrace], None] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Violation count and total wasted capacity at each level, in one pass.
 
     Every level sees the same demand (common random numbers), drawn
@@ -293,11 +295,16 @@ def _evaluate(scenario: Scenario, levels) -> tuple[np.ndarray, np.ndarray]:
     the same object draws nothing.  Other demand is scored chunk by chunk
     by :func:`_score_chunks`.  Totals that overflow come out as inf or
     NaN, without a warning; _report rejects them.
+
+    ``on_chunk``, if given, is called with each StepTrace of the run's
+    demand, in order, right after that chunk is scored, so the caller
+    sees the very draws that were scored.  The empirical tally draws no
+    demand, so there the demand is drawn once, for the hook alone.
     """
     g = np.asarray(levels, dtype=float)
     profile = scenario.profile
     if profile.kind != EMPIRICAL:
-        return _score_chunks(scenario, g)
+        return _score_chunks(scenario, g, on_chunk)
     counts = scenario._draw_counts
     values = profile._observed
     if scenario.clamp_demand_to_agreed:
@@ -308,22 +315,30 @@ def _evaluate(scenario: Scenario, levels) -> tuple[np.ndarray, np.ndarray]:
         prefix = np.concatenate(([0.0], np.cumsum(counts * values)))[k]
         # sum(g - d) over those draws; rounding can leave a tiny negative
         wasted = np.maximum(g * below - prefix, 0.0)
+    if on_chunk is not None:
+        for chunk in _demand_chunks(scenario):
+            on_chunk(chunk)
     return counts.sum() - below, wasted
 
 
-def _score_chunks(scenario: Scenario, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _score_chunks(
+    scenario: Scenario, g: np.ndarray, on_chunk: Callable[[StepTrace], None] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """_evaluate by sorting each demand chunk: a sorted chunk and its prefix
     sum cost each level one binary search."""
     violations = np.zeros(len(g), dtype=np.int64)
     wasted = np.zeros(len(g))
-    for _, _, demand in _demand_chunks(scenario):
+    for chunk in _demand_chunks(scenario):
         with np.errstate(all="ignore"):
-            d = np.sort(demand)
+            d = np.sort(chunk.demand)
             prefix = np.concatenate(([0.0], np.cumsum(d)))
             below = np.searchsorted(d, g, "right")  # draws with demand <= g
             violations += len(d) - below
             # sum(g - d) over those draws; rounding can leave a tiny negative
             wasted += np.maximum(g * below - prefix[below], 0.0)
+        del d, prefix  # free the sorted copy before the next chunk or the hook
+        if on_chunk is not None:
+            on_chunk(chunk)
     return violations, wasted
 
 
@@ -368,17 +383,27 @@ def _report(
     return report
 
 
-def run_simulation(scenario: Scenario, trace: bool = False) -> SimulationReport:
+def run_simulation(
+    scenario: Scenario,
+    trace: bool = False,
+    on_chunk: Callable[[float, StepTrace], None] | None = None,
+) -> SimulationReport:
     """Play the scenario's policy against sampled demand.
 
     Demand is evaluated in fixed-size chunks, so memory does not depend on
     ``steps``.  ``trace=True`` attaches ``report.trace``, which re-draws the
     same demand chunk by chunk when iterated, so it is bounded too.
-    Deterministic given (scenario, seed): repeated runs produce identical
-    aggregates.  Raises NonFiniteResult when a total overflows a float.
+    ``on_chunk``, if given, is called as ``on_chunk(level, chunk)`` with the
+    resolved level and each StepTrace, in order, right after the chunk is
+    scored: a caller sees each step of the demand without drawing it again.
+    It is called before the totals are checked, so it may see a run whose
+    report then raises.  Deterministic given (scenario, seed): repeated runs
+    produce identical aggregates.  Raises NonFiniteResult when a total
+    overflows a float.
     """
     level = resolve_policy(scenario.policy, scenario.stats, scenario.rates)
-    violations, wasted = _evaluate(scenario, [level])
+    hook = None if on_chunk is None else functools.partial(on_chunk, level)
+    violations, wasted = _evaluate(scenario, [level], hook)
     return _report(scenario, level, int(violations[0]), float(wasted[0]), trace)
 
 

@@ -3,10 +3,14 @@ strict scenario echo."""
 
 import contextlib
 import csv
+import errno
 import io
 import itertools
 import json
 import math
+import os
+import re
+import stat
 import tempfile
 import textwrap
 import tracemalloc
@@ -21,10 +25,10 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from greenprov import DemandStats, CostRates, balance_closed_form
+from greenprov import DemandStats, CostRates, balance_closed_form, cli
 from greenprov.cli import _ROW_BLOCK, SWEEP_PARAMS, _csv_field, _fmt, _json_record, main
 from greenprov.config import build_scenario, load_config, scenario_from_dict
-from greenprov.demand import FAMILIES
+from greenprov.demand import FAMILIES, DemandProfile
 from greenprov.schemas import (
     BALANCE_RECORD_SCHEMA,
     SCENARIO_SCHEMA,
@@ -203,6 +207,40 @@ simulation: {steps: 1, replications: 2, seed: 11, energy_full: 1.0,
 """
 
 
+TRACE_UNIFORM = """
+demand: {kind: uniform, lower: 5, upper: 80}
+stats: {r_agreed: 100}
+rates: {c_en: 1.5, c_co2: 0.5, c_viol: 1.0}
+policy: {kind: balance}
+simulation: {steps: 1, replications: 2, seed: 8, energy_full: 2.0,
+             carbon_intensity: 0.5}
+"""
+
+TRACE_LOGNORMAL = """
+demand: {kind: lognormal, mu_log: 3.5, sigma_log: 0.4}
+stats: {r_agreed: 100}
+rates: {c_en: 1.2, c_co2: 0.3, c_viol: 2.0}
+policy: {kind: balance_band, x_percent: 0.1}
+simulation: {steps: 1, replications: 1, seed: 21, energy_full: 2.0,
+             carbon_intensity: 0.5}
+"""
+
+TRACES = {
+    "clamped": TRACE_CLAMPED_EMPIRICAL,
+    "fixed": TRACE_FIXED_LEVEL,
+    "uniform": TRACE_UNIFORM,
+    "lognormal": TRACE_LOGNORMAL,
+    # the observation of 130 lies above r_agreed and is drawn as it is
+    "empirical": TRACE_CLAMPED_EMPIRICAL.replace(
+        "clamp_demand_to_agreed: true", "clamp_demand_to_agreed: false"
+    ),
+}
+
+
+def three_replications(text: str) -> str:
+    return re.sub(r"replications: \d+", "replications: 3", text)
+
+
 def reference_trace_csv(report) -> bytes:
     """trace.csv from csv.writer, with each row's values computed one by one
     from the demand of the report's trace blocks and printed by _fmt."""
@@ -274,19 +312,19 @@ class TestSimulateCommand:
         report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert violations == report["aggregate"]["violation_count"]
 
-    # row-block edges, then three replications of more than one chunk each
+    # row-block edges, then three replications of one step, one chunk and
+    # one step more than a chunk each
     @pytest.mark.parametrize(
         "text, steps",
         [
             pytest.param(text, steps, id=f"{name}-{steps}")
-            for name, text in [("clamped", TRACE_CLAMPED_EMPIRICAL), ("fixed", TRACE_FIXED_LEVEL)]
+            for name, text in TRACES.items()
             for steps in [_ROW_BLOCK - 1, _ROW_BLOCK, 2 * _ROW_BLOCK + 1]
         ]
         + [
-            pytest.param(
-                TRACE_CLAMPED_EMPIRICAL.replace("replications: 1", "replications: 3"),
-                _CHUNK + 1, id="clamped-3x-chunk+1",
-            )
+            pytest.param(three_replications(text), steps, id=f"{name}-3x-{label}")
+            for name, text in TRACES.items()
+            for steps, label in [(1, "1"), (_CHUNK, "chunk"), (_CHUNK + 1, "chunk+1")]
         ],
     )
     def test_trace_matches_csv_writer(self, tmp_path, text, steps):
@@ -294,11 +332,31 @@ class TestSimulateCommand:
         out = tmp_path / "out"
         argv = ["simulate", path, "--output", str(out), "--trace", "--steps", str(steps)]
         assert main(argv) == 0
+        # the reference re-draws the demand through the report's lazy trace
         report = run_simulation(
             build_scenario(load_config(path), steps_override=steps), trace=True
         )
-        assert report.violation_count > 0
+        if steps > 1:  # both kinds of row are written
+            assert 0 < report.violation_count < steps * report.scenario.replications
         assert (out / "trace.csv").read_bytes() == reference_trace_csv(report)
+
+    @pytest.mark.parametrize("name", ["fixed", "clamped"])
+    def test_traced_run_draws_its_demand_once(self, tmp_path, monkeypatch, name):
+        # the truncated normal is drawn once to be scored and written; the
+        # empirical tally draws no demand, so its one draw is for the trace
+        sizes = []
+        sample_many = DemandProfile.sample_many
+
+        def counted(profile, rng, n):
+            sizes.append(n)
+            return sample_many(profile, rng, n)
+
+        monkeypatch.setattr(DemandProfile, "sample_many", counted)
+        path = write(tmp_path, three_replications(TRACES[name]))
+        argv = ["simulate", path, "--output", str(tmp_path / "out"), "--trace",
+                "--steps", str(_CHUNK + 1)]
+        assert main(argv) == 0
+        assert sizes == [_CHUNK, 1] * 3
 
     def test_overflowing_total_exits_two_before_writing(self, tmp_path, capsys):
         # sum(level - demand) overflows a float: one stderr line, no numpy
@@ -316,6 +374,55 @@ class TestSimulateCommand:
             "the totals overflow a float\n"
         )
         assert not (out / "report.json").exists()
+        assert list(out.glob("*")) == []
+        # into an output directory a run has filled: every file is left as it was
+        good = tmp_path / "good"
+        good.mkdir()
+        assert main(["simulate", write(good, BASE), "--output", str(out), "--trace"]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(before) == ["report.json", "trace.csv"]
+        capsys.readouterr()
+        assert main(["simulate", path, "--output", str(out), "--trace"]) == 2
+        assert capsys.readouterr().err == (
+            "simulation error: simulated total_wastage_cost is nan: "
+            "the totals overflow a float\n"
+        )
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_failed_trace_write_leaves_no_file(self, config, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        assert main(["simulate", config, "--output", str(out), "--trace"]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        blocks = []
+        real = cli._trace_writer
+
+        class Full:  # a handle on a disk that fills after one block of rows
+            def __init__(self, handle):
+                self.handle = handle
+
+            def write(self, text):
+                if blocks:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                blocks.append(text)
+                return self.handle.write(text)
+
+        monkeypatch.setattr(cli, "_trace_writer", lambda handle, scenario: real(Full(handle), scenario))
+        capsys.readouterr()
+        assert main(["simulate", config, "--output", str(out), "--trace"]) == 1
+        assert len(blocks) == 1
+        assert capsys.readouterr().err == "config error: [Errno 28] No space left on device\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_trace_gets_the_report_permission_bits(self, config, tmp_path):
+        out = tmp_path / "out"
+        umask = os.umask(0o027)
+        try:
+            assert main(["simulate", config, "--output", str(out), "--trace"]) == 0
+        finally:
+            os.umask(umask)
+        modes = {name: stat.S_IMODE((out / name).stat().st_mode)
+                 for name in ("report.json", "trace.csv")}
+        assert modes == {"report.json": 0o640, "trace.csv": 0o640}
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_json_records_refuse_non_finite_numbers(self, value):

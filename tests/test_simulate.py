@@ -2,6 +2,7 @@
 statistical agreement with the demand model, and policy comparison."""
 
 import math
+import random
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -243,6 +244,49 @@ class TestRunSimulation:
         bound = 3.0 * math.sqrt(p * (1 - p) / 50_000)
         assert abs(report.violation_frequency - p) <= bound
         assert abs(report.model_violation_probability - p) > 10 * bound
+
+    def test_violation_count_matches_the_tail_on_random_profiles(self, rates):
+        # Profiles come from a seeded random.Random, not hypothesis, so the
+        # same 200 are drawn however the suite is collected.
+        rng = random.Random(5_2026)
+        families = {"uniform": 0, "truncated_normal": 0, "lognormal": 0, "empirical": 0}
+        clamped = 0
+        for i in range(200):
+            kind = list(families)[i % 4]
+            if kind == "uniform":
+                lower = rng.uniform(0, 50)
+                params = [lower, lower + rng.uniform(1, 100)]
+            elif kind == "truncated_normal":
+                lower = rng.uniform(0, 30)
+                upper = lower + rng.uniform(5, 100)
+                sigma = rng.uniform(1, 40)
+                params = [rng.uniform(lower - 2 * sigma, upper + 2 * sigma), sigma, lower, upper]
+            elif kind == "lognormal":
+                params = [rng.uniform(1, 4), rng.uniform(0.1, 1)]
+                if rng.random() < 0.5:
+                    params.append(math.exp(params[0] + rng.uniform(0, 2) * params[1]))
+            else:
+                params = [round(rng.uniform(0, 100), 2) for _ in range(rng.randint(2, 30))]
+            profile = make_profile(kind, params)
+            # a clamped run agrees on less than the demand can reach
+            clamp = rng.random() < 0.3
+            agreed = profile.quantile(rng.uniform(0.5, 0.95) if clamp else 0.999)
+            level = min(profile.quantile(rng.uniform(0.01, 0.99)), agreed)
+            scenario = Scenario(
+                profile=profile, stats=DemandStats(0.5 * agreed, agreed, agreed),
+                rates=rates, policy=Policy.fixed_level(level),
+                steps=rng.randint(1000, 10_000), replications=rng.randint(1, 3),
+                seed=rng.getrandbits(64), energy_full=1.0, carbon_intensity=0.5,
+                clamp_demand_to_agreed=clamp,
+            )
+            report = run_simulation(scenario)
+            n = scenario.steps * scenario.replications
+            p = report.tail_violation_probability
+            bound = 5.0 * math.sqrt(n * p * (1.0 - p)) + 1.0  # one count where p is near 0 or 1
+            assert abs(report.violation_count - n * p) <= bound, (kind, params, clamp, level)
+            families[kind] += 1
+            clamped += clamp
+        assert min(families.values()) == 50 and clamped > 20
 
     def test_trace_forced_on_and_off(self, scenario):
         assert run_simulation(scenario, trace=True).trace is not None
