@@ -13,7 +13,8 @@ Four workflows over one YAML scenario config:
 ``greenprov sweep <config> --param name=start:stop:count [...]``
     Re-solve the balance over a parameter grid; write sweep.csv.
 
-Exit codes: 0 success, 1 input/config error, 2 domain or solver error.
+Exit codes: 0 success, 1 input/config or output error, 2 domain or solver
+error.
 Output files are deterministic: rerunning with the same config and seed
 reproduces them byte for byte.
 """
@@ -21,14 +22,12 @@ reproduces them byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
-import itertools
 import json
 import math
 import os
-import shutil
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -129,13 +128,23 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _write_text(path: Path, texts):
-    """Write the strings ``texts`` to ``path`` as a new file."""
-    # Unlinking first replaces a link rather than writing through it, and
-    # spares a rerun the writeback wait that truncating a file can start.
-    path.unlink(missing_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.writelines(texts)
+@contextlib.contextmanager
+def _output(path: Path):
+    """A handle on a new file beside ``path``, made as "w" would (mode 0o666
+    less the umask), that replaces ``path`` only when the block exits
+    cleanly; on an exception it is removed and ``path`` is left as it was."""
+    staged = path.with_name(f".{path.name}.{os.getpid()}")
+    staged.unlink(missing_ok=True)  # left by a killed run with this process id
+    try:
+        with open(staged, "x", encoding="utf-8", newline="\n") as handle:
+            yield handle
+        # Unlinking first replaces a link rather than writing through it, and
+        # keeps the rename from replacing a file, which can start a writeback.
+        path.unlink(missing_ok=True)
+        staged.rename(path)
+    except BaseException:
+        staged.unlink(missing_ok=True)
+        raise
 
 
 def _json_record(record: dict) -> str:
@@ -165,11 +174,6 @@ def _format_rows(fmt: str, columns) -> list[str]:
     return list(map(fmt.__mod__, zip(*lists)))
 
 
-def _write_csv(path: Path, header, blocks):
-    """Write the header row, then each block of formatted lines."""
-    _write_text(path, itertools.chain([",".join(header) + "\n"], map("".join, blocks)))
-
-
 def cmd_balance(args) -> int:
     parsed = load_config(args.config)
     rates = parsed.require("rates")
@@ -182,7 +186,8 @@ def cmd_balance(args) -> int:
             "result": dataclasses.asdict(result),
         }
     )
-    _write_text(_out_dir(args) / "balance.json", [text])
+    with _output(_out_dir(args) / "balance.json") as handle:
+        handle.write(text)
     sys.stdout.write(text)
     return 0
 
@@ -227,34 +232,25 @@ def cmd_simulate(args) -> int:
     parsed = load_config(args.config)
     scenario = build_scenario(parsed, seed_override=args.seed, steps_override=args.steps)
     out = _out_dir(args)
-    staged = None
-    try:
-        if args.trace:
-            # trace.csv is written as the demand is scored, into a new file
-            # beside it that replaces it once report.json is written, so a
-            # run that fails leaves both files as they were.
-            fd, staged = tempfile.mkstemp(prefix=".trace.csv.", dir=out)
-            with open(fd, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(",".join(TRACE_HEADER) + "\n")
-                report = run_simulation(scenario, on_chunk=_trace_writer(handle, scenario))
-        else:
-            report = run_simulation(scenario)
+    # trace.csv is written as the demand is scored, and replaces the old one
+    # only once report.json is written.
+    with _output(out / "trace.csv") if args.trace else contextlib.nullcontext() as trace:
+        on_chunk = None
+        if trace:
+            trace.write(",".join(TRACE_HEADER) + "\n")
+            on_chunk = _trace_writer(trace, scenario)
+        report = run_simulation(scenario, on_chunk=on_chunk)
         record = {
             "seed": scenario.seed,
             "scenario": scenario_to_dict(scenario),
             "aggregate": report.aggregate_dict(),
         }
-        _write_text(out / "report.json", [_json_record(record)])
-        print(f"seed: {scenario.seed}")
-        print(f"wrote {out / 'report.json'}")
-        if staged:
-            # mkstemp makes the file private; give it report.json's mode
-            shutil.copymode(out / "report.json", staged)
-            os.replace(staged, out / "trace.csv")
-            print(f"wrote {out / 'trace.csv'}")
-    finally:
-        if staged:
-            Path(staged).unlink(missing_ok=True)
+        with _output(out / "report.json") as handle:
+            handle.write(_json_record(record))
+    print(f"seed: {scenario.seed}")
+    print(f"wrote {out / 'report.json'}")
+    if args.trace:
+        print(f"wrote {out / 'trace.csv'}")
     return 0
 
 
@@ -268,7 +264,8 @@ def cmd_etm(args) -> int:
                  settlement.total_position_kg, settlement.total_cash_flow))
     lines = [",".join(SETTLEMENT_HEADER) + "\n"]
     lines += [",".join([_csv_field(name), *map(_fmt, values)]) + "\n" for name, *values in rows]
-    _write_text(_out_dir(args) / "settlement.csv", lines)
+    with _output(_out_dir(args) / "settlement.csv") as handle:
+        handle.writelines(lines)
     sys.stdout.writelines(lines)
     return 0
 
@@ -362,10 +359,12 @@ def cmd_sweep(args) -> int:
             del values  # free its arrays before the bulk of the text is made
             solved = np.flatnonzero(failure < 0)
             lines[solved] = _format_rows(solved_row, [c[solved] for c in texts + list(results)])
-            yield lines.tolist()
+            yield "".join(lines.tolist())
 
     out = _out_dir(args)
-    _write_csv(out / "sweep.csv", SWEEP_HEADER, blocks())
+    with _output(out / "sweep.csv") as handle:
+        handle.write(",".join(SWEEP_HEADER) + "\n")
+        handle.writelines(blocks())
     successes = total - failed
     print(f"wrote {out / 'sweep.csv'} ({successes}/{total} rows solved)")
     return 0 if successes else 2
@@ -379,8 +378,11 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, OSError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # load_config reports the config's own read errors
+        print(f"output error: {exc}", file=sys.stderr)
         return 1
     except (DegenerateCosts, NoRootInRange) as exc:
         print(f"solver error: {exc}", file=sys.stderr)

@@ -355,18 +355,20 @@ def parse_document(document) -> ParsedConfig:
 
 
 def load_config(path: str) -> ParsedConfig:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
             document = yaml.load(handle, Loader=_StrictLoader)
-        except yaml.YAMLError as exc:
-            # PyYAML's message spans lines; the error is printed on one
-            message = " ".join(str(exc).split())
-            raise ConfigError(f"invalid value at config: not parseable ({message})", "") from exc
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"invalid value at config: not UTF-8 ({exc})", "") from exc
-        except RecursionError as exc:
-            # PyYAML composes a node per nesting level, recursively
-            raise ConfigError("invalid value at config: nested too deeply", "") from exc
+    except OSError as exc:
+        raise ConfigError(str(exc), "") from exc
+    except yaml.YAMLError as exc:
+        # PyYAML's message spans lines; the error is printed on one
+        message = " ".join(str(exc).split())
+        raise ConfigError(f"invalid value at config: not parseable ({message})", "") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"invalid value at config: not UTF-8 ({exc})", "") from exc
+    except RecursionError as exc:
+        # PyYAML composes a node per nesting level, recursively
+        raise ConfigError("invalid value at config: nested too deeply", "") from exc
     if document is None:
         raise ConfigError("invalid value at config: empty document", "")
     return parse_document(document)

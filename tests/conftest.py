@@ -1,5 +1,7 @@
 """Shared test set-up."""
 
+import importlib
+import pkgutil
 import shutil
 import tempfile
 from pathlib import Path
@@ -8,6 +10,8 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
+import greenprov
+
 _HYPOTHESIS_HOME = pytest.StashKey[Path]()
 
 # Property tests are derandomized and keep no example database, so every
@@ -15,6 +19,14 @@ _HYPOTHESIS_HOME = pytest.StashKey[Path]()
 # example count and health-check overrides on top of this profile.
 settings.register_profile("greenprov", derandomize=True, database=None, deadline=None)
 settings.load_profile("greenprov")
+
+# hypothesis also mixes into its draws the constants of every module loaded
+# from outside the standard library, site-packages and test directories:
+# here, the greenprov modules. Loading them all before any test runs gives
+# every session the same constants, so a property test draws the same
+# examples alone as in the full suite (test_draws.py checks this).
+for module in pkgutil.walk_packages(greenprov.__path__, "greenprov."):
+    importlib.import_module(module.name)
 
 
 def pytest_configure(config):

@@ -184,8 +184,12 @@ class TestBalanceCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and len(err.splitlines()) == 1
 
-    def test_missing_file(self, tmp_path):
-        assert main(["balance", str(tmp_path / "nope.yaml")]) == 1
+    def test_missing_file(self, tmp_path, capsys):
+        path = tmp_path / "nope.yaml"
+        assert main(["balance", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: [Errno 2] No such file or directory: '{path}'\n"
+        )
 
 
 TRACE_CLAMPED_EMPIRICAL = """
@@ -410,19 +414,8 @@ class TestSimulateCommand:
         capsys.readouterr()
         assert main(["simulate", config, "--output", str(out), "--trace"]) == 1
         assert len(blocks) == 1
-        assert capsys.readouterr().err == "config error: [Errno 28] No space left on device\n"
+        assert capsys.readouterr().err == "output error: [Errno 28] No space left on device\n"
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
-
-    def test_trace_gets_the_report_permission_bits(self, config, tmp_path):
-        out = tmp_path / "out"
-        umask = os.umask(0o027)
-        try:
-            assert main(["simulate", config, "--output", str(out), "--trace"]) == 0
-        finally:
-            os.umask(umask)
-        modes = {name: stat.S_IMODE((out / name).stat().st_mode)
-                 for name in ("report.json", "trace.csv")}
-        assert modes == {"report.json": 0o640, "trace.csv": 0o640}
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_json_records_refuse_non_finite_numbers(self, value):
@@ -436,21 +429,6 @@ class TestSimulateCommand:
         first = {name: (out / name).read_bytes() for name in ("report.json", "trace.csv")}
         assert main(argv) == 0
         assert {name: (out / name).read_bytes() for name in first} == first
-
-    def test_output_links_are_replaced_not_written_through(self, config, tmp_path):
-        out = tmp_path / "out"
-        out.mkdir()
-        targets = {}
-        for name in ("report.json", "trace.csv"):
-            targets[name] = tmp_path / f"target-{name}"
-            targets[name].write_text("keep\n", encoding="utf-8")
-            (out / name).symlink_to(targets[name])
-        assert main(["simulate", config, "--output", str(out), "--trace"]) == 0
-        for name, target in targets.items():
-            assert not (out / name).is_symlink()
-            assert target.read_text(encoding="utf-8") == "keep\n"
-        json.loads((out / "report.json").read_text(encoding="utf-8"))
-        assert read_csv(out / "trace.csv")[0] == list(TRACE_HEADER)
 
     def test_unresolvable_policy_exit_two(self, tmp_path):
         path = write(
@@ -848,8 +826,8 @@ def stats_triples(draw):
     return triple
 
 
-# Each example writes into a new directory under tmp_path: truncating a
-# file just written can wait tens of ms for its writeback.
+# Each example writes into a new directory under tmp_path, so that no
+# example reads another's files.
 @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     params=param_lists(),
@@ -874,6 +852,137 @@ def test_sweep_exits_cleanly_on_any_params_and_stats(tmp_path, params, stats, sa
         code = main(argv)
     assert code in (0, 1, 2)
     assert len(err.getvalue().splitlines()) <= 1 and "Traceback" not in err.getvalue()
+
+
+# Each run's command and options, and the files it writes
+OUTPUTS = {
+    "balance": (["balance"], ["balance.json"]),
+    "simulate": (["simulate"], ["report.json"]),
+    "simulate-trace": (["simulate", "--trace"], ["report.json", "trace.csv"]),
+    "etm": (["etm"], ["settlement.csv"]),
+    "sweep": (["sweep", "--param", "c_en=0.5:2:64"], ["sweep.csv"]),
+}
+OUTPUT_NAMES = sorted({name for _, names in OUTPUTS.values() for name in names})
+
+
+def run_command(run, config, out):
+    (command, *options), _ = OUTPUTS[run]
+    return main([command, config, "--output", str(out), *options])
+
+
+def snapshot(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+class FullDisk:
+    """A write handle on a disk that fills after one write: that write is
+    only buffered, and every later write, and the flush on closing, fail;
+    nothing reaches the file."""
+
+    def __init__(self, handle):
+        self.handle = handle
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return len(text)
+
+    def writelines(self, texts):
+        for text in texts:
+            self.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, *_):
+        self.handle.close()
+        if kind is None:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestOutputFiles:
+    @pytest.fixture
+    def config(self, tmp_path):
+        return write(tmp_path, BASE + MARKET)
+
+    @pytest.mark.parametrize("run", OUTPUTS)
+    def test_failed_write_leaves_every_file_as_it_was(self, config, tmp_path, monkeypatch,
+                                                      capsys, run):
+        out = tmp_path / "out"
+        assert run_command(run, config, out) == 0
+        before = snapshot(out)
+        assert sorted(before) == sorted(OUTPUTS[run][1])
+
+        def full_disk(file, mode="r", *args, **kwargs):
+            handle = open(file, mode, *args, **kwargs)
+            return FullDisk(handle) if set(mode) & set("wxa") else handle
+
+        # every file the command opens for writing is on the full disk
+        monkeypatch.setattr(cli, "open", full_disk, raising=False)
+        capsys.readouterr()
+        assert run_command(run, config, out) == 1
+        assert snapshot(out) == before  # no staged file either
+        assert capsys.readouterr().err == "output error: [Errno 28] No space left on device\n"
+
+    def test_output_links_are_replaced_not_written_through(self, config, tmp_path):
+        for link in ("symlink_to", "hardlink_to"):
+            out = tmp_path / link
+            out.mkdir()
+            targets = {name: tmp_path / f"target-{link}-{name}" for name in OUTPUT_NAMES}
+            for name, target in targets.items():
+                target.write_text("keep\n", encoding="utf-8")
+                getattr(out / name, link)(target)
+            for run in OUTPUTS:
+                assert run_command(run, config, out) == 0
+            for name, target in targets.items():
+                assert not (out / name).is_symlink()
+                assert not (out / name).samefile(target)
+                assert target.read_text(encoding="utf-8") == "keep\n"
+            assert read_csv(out / "trace.csv")[0] == list(TRACE_HEADER)
+            json.loads((out / "balance.json").read_text(encoding="utf-8"))
+
+    def test_outputs_get_the_umask_permission_bits(self, config, tmp_path):
+        out = tmp_path / "out"
+        umask = os.umask(0o027)
+        try:
+            for run in OUTPUTS:
+                assert run_command(run, config, out) == 0
+        finally:
+            os.umask(umask)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+        assert modes == dict.fromkeys(OUTPUT_NAMES, 0o640)
+
+    def test_a_staged_file_left_by_a_killed_run_is_replaced(self, config, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        # one left under this process id, one under another's
+        ours, theirs = out / f".balance.json.{os.getpid()}", out / ".balance.json.1"
+        for left in (ours, theirs):
+            left.write_text("partial", encoding="utf-8")
+        assert run_command("balance", config, out) == 0
+        assert sorted(p.name for p in out.iterdir()) == [theirs.name, "balance.json"]
+        json.loads((out / "balance.json").read_text(encoding="utf-8"))
+
+    def test_an_output_path_held_by_a_directory_is_an_output_error(self, config, tmp_path,
+                                                                  capsys):
+        out = tmp_path / "out"
+        (out / "balance.json").mkdir(parents=True)
+        assert run_command("balance", config, out) == 1
+        assert capsys.readouterr().err == (
+            f"output error: [Errno 21] Is a directory: '{out / 'balance.json'}'\n"
+        )
+        assert [p.name for p in out.iterdir()] == ["balance.json"]
+
+    def test_an_output_that_names_a_file_is_an_output_error(self, config, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("keep\n", encoding="utf-8")
+        for run in OUTPUTS:
+            capsys.readouterr()
+            assert run_command(run, config, out) == 1
+            assert capsys.readouterr().err == f"output error: [Errno 17] File exists: '{out}'\n"
+        assert out.read_text(encoding="utf-8") == "keep\n"
 
 
 class TestUsage:

@@ -867,10 +867,9 @@ def complete(**sections):
     } | sections
 
 
-# Each example writes into a new directory under tmp_path: truncating a
-# file just written can wait tens of ms for its writeback.  The pinned
-# examples once failed; hypothesis mixes constants from the collected test
-# modules into its draws, so only a pin keeps them checked in every run.
+# Each example writes into a new directory under tmp_path, so that no
+# example reads another's files. The pinned examples once failed; a pin
+# keeps them checked whatever the generated draws are.
 @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(documents())
 @example(document=complete(
