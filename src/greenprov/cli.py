@@ -167,11 +167,19 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _format_rows(fmt: str, columns) -> list[str]:
-    """``fmt % row`` for each row of equal-length array columns."""
-    # + 0.0 turns negative zero into plain zero before printing
-    lists = [(c + 0.0 if c.dtype.kind == "f" else c).tolist() for c in columns]
-    return list(map(fmt.__mod__, zip(*lists)))
+def _row_block(templates, kinds, columns) -> str:
+    """Row ``i`` of a block is ``templates[kinds[i]]`` filled with row ``i``
+    of the arrays ``columns[kinds[i]]``, for an intp array ``kinds``; it is
+    made by one % of the rows' joined templates over all their values."""
+    values = np.empty((len(kinds), max(map(len, columns))), dtype=object)
+    filled = np.zeros(values.shape, dtype=bool)
+    for k in np.flatnonzero(np.bincount(kinds)):  # the kinds in the block
+        rows = np.flatnonzero(kinds == k)
+        for j, column in enumerate(columns[k]):
+            values[rows, j] = column[rows]
+        filled[rows, :len(columns[k])] = True
+    lines = np.array(templates, dtype=object)[kinds].tolist()
+    return "".join(lines) % tuple(values[filled].tolist())
 
 
 def cmd_balance(args) -> int:
@@ -199,31 +207,22 @@ def _trace_writer(handle, scenario):
 
     def write(level, chunk):
         # The replication and level are constant, and a violated row wastes
-        # nothing and pays the penalty: only its step and demand vary. Each
-        # block is one % of its rows' templates, joined in row order, over
-        # one flat list of the values they take.
+        # nothing and pays the penalty: only its step and demand vary.
         head = f"{chunk.replication},%d,%.12g,{_fmt(level)},"
-        templates = np.array([head + "0,%.12g,%.12g,0\n",
-                              head + f"1,0,0,{_fmt(rates.c_viol)}\n"], dtype=object)
-        demand = chunk.demand
-        for start in range(0, len(demand), _ROW_BLOCK):
-            d = demand[start:start + _ROW_BLOCK]
+        templates = [head + "0,%.12g,%.12g,0\n", head + f"1,0,0,{_fmt(rates.c_viol)}\n"]
+        for start in range(0, len(chunk.demand), _ROW_BLOCK):
+            d = chunk.demand[start:start + _ROW_BLOCK]
             step = chunk.first_step + start
-            violated = d > level
-            values = np.empty((len(d), 4), dtype=object)  # steps stay Python ints
-            values[:, 0] = range(step, step + len(d))
+            steps = np.arange(step, step + len(d))
             # This runs before the report's totals are checked, on values
             # that check may yet reject; like the scoring, it must not warn.
             with np.errstate(all="ignore"):
                 wasted = np.maximum(level - d, 0.0)
                 # + 0.0 turns negative zero into plain zero before printing
-                values[:, 1] = d + 0.0
-                values[:, 2] = wasted + 0.0
-                values[:, 3] = wasted / agreed * rates.c_provision + 0.0
-            filled = np.ones(values.shape, dtype=bool)
-            filled[violated, 2:] = False
-            handle.write("".join(templates[violated.astype(np.intp)].tolist())
-                         % tuple(values[filled].tolist()))
+                scored = [steps, d + 0.0, wasted + 0.0,
+                          wasted / agreed * rates.c_provision + 0.0]
+            violated = (d > level).astype(np.intp)
+            handle.write(_row_block(templates, violated, [scored, scored[:2]]))
 
     return write
 
@@ -321,45 +320,35 @@ def cmd_sweep(args) -> int:
     total = math.prod(shape)
     if total > np.iinfo(np.intp).max:
         raise ConfigError(f"sweep grid of {total} cells is too large to index")
-    # One % format per row kind. A fixed input and satisfaction are literal
-    # text in it; each swept value is formatted once, and rows pick their
-    # labels by index. Numbers never need CSV quoting, and an error template
-    # is quoted once, since the numbers filled into it never contain a comma
-    # or a quote.
-    swept = [k for k in _SWEEP_INPUTS if k in grids]
-    labels = {k: np.array(_format_rows("%.12g", [grids[k]]), dtype=object) for k in swept}
+    # One % format per row kind: a solved row, then one per FAILURES entry.
+    # A fixed input and satisfaction are literal text in it; each swept
+    # value is formatted once, and rows pick their labels by index. Numbers
+    # never need CSV quoting, and an error template is quoted once, since
+    # the numbers filled into it never contain a comma or a quote.
+    # + 0.0 turns negative zero into plain zero before printing
+    labels = {k: np.array(["%.12g" % (x + 0.0) for x in grids[k].tolist()], dtype=object)
+              for k in _SWEEP_INPUTS if k in grids}
     head = "".join("%s," if k in grids else _fmt(base[k]) + "," for k in _SWEEP_INPUTS)
     n_results = len(SWEEP_HEADER) - len(_SWEEP_INPUTS) - 1  # the BalanceResult columns
-    solved_row = head + "%.12g," * n_results + "\n"
-    error_rows = [head + "," * n_results + _csv_field(f.template) + "\n" for f in FAILURES]
+    templates = [head + "%.12g," * n_results + "\n"]
+    templates += [head + "," * n_results + _csv_field(f.template) + "\n" for f in FAILURES]
     failed = 0
 
     def blocks():
         nonlocal failed
         for start in range(0, total, _ROW_BLOCK):
-            n = min(_ROW_BLOCK, total - start)
-            index = dict(zip(names, np.unravel_index(np.arange(start, start + n), shape)))
+            cells = np.arange(start, min(start + _ROW_BLOCK, total))
+            index = dict(zip(names, np.unravel_index(cells, shape)))
             failure, results, values = balance_grid(
                 *(grids[k][index[k]] if k in grids else base[k] for k in _SWEEP_INPUTS)
             )
-            texts = [labels[k][index[k]] for k in swept]
-            # Each failure's rows, then the solved rows, are formatted apart
-            # and merged back in cell order
-            lines = np.empty(n, dtype=object)
-            unsolved = np.flatnonzero(failure >= 0)
-            failed += unsolved.size
-            reasons = failure[unsolved]
-            for k, fmt in enumerate(error_rows):
-                rows = unsolved[reasons == k]
-                if rows.size:
-                    # the message values as the scalar path prints them, -0.0 included
-                    fields = [t[rows] for t in texts]
-                    fields += [values[name][rows] for name in FAILURES[k].fields]
-                    lines[rows] = list(map(fmt.__mod__, zip(*(f.tolist() for f in fields))))
-            del values  # free its arrays before the bulk of the text is made
-            solved = np.flatnonzero(failure < 0)
-            lines[solved] = _format_rows(solved_row, [c[solved] for c in texts + list(results)])
-            yield "".join(lines.tolist())
+            kinds = failure + 1
+            failed += np.count_nonzero(kinds)
+            texts = [labels[k][index[k]] for k in labels]
+            columns = [texts + [c + 0.0 for c in results]]
+            # the message values as the scalar path prints them, -0.0 included
+            columns += [texts + [values[name] for name in f.fields] for f in FAILURES]
+            yield _row_block(templates, kinds, columns)
 
     out = _out_dir(args)
     with _output(out / "sweep.csv") as handle:

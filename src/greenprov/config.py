@@ -19,7 +19,7 @@ tests pin down.
 from __future__ import annotations
 
 import dataclasses
-import math
+import sys
 from dataclasses import dataclass
 
 import yaml
@@ -57,6 +57,15 @@ class _StrictLoader(yaml.SafeLoader):
     """SafeLoader that rejects a mapping key given twice (YAML requires
     unique keys; PyYAML would keep the last value)."""
 
+    def construct_object(self, node, deep=False):
+        # PyYAML's constructors raise plain errors on scalars they resolve but
+        # cannot build, such as 2001-02-29, 0x_, !!float "" and !!timestamp "x"
+        try:
+            return super().construct_object(node, deep)
+        except (ValueError, IndexError, KeyError, OverflowError, AttributeError) as exc:
+            problem = f"cannot construct {node.tag}: {exc!r}"
+            raise yaml.constructor.ConstructorError(None, None, problem, node.start_mark) from exc
+
     def construct_document(self, node):
         self._check_unique_keys(node, "", set())
         return super().construct_document(node)
@@ -70,9 +79,10 @@ class _StrictLoader(yaml.SafeLoader):
             for key_node, value_node in node.value:
                 if not isinstance(key_node, yaml.ScalarNode):
                     continue  # the constructor rejects it as unhashable
-                # keys given next to a merge (<<) override the merged ones
+                # keys given next to a merge (<<) override the merged ones; a
+                # deep build rejects a scalar tagged !!set now, not as an empty set
                 merge = key_node.tag == "tag:yaml.org,2002:merge"
-                key = "<<" if merge else self.construct_object(key_node)
+                key = "<<" if merge else self.construct_object(key_node, deep=True)
                 full = _key_path(path, key)
                 if not merge:
                     if key in seen:
@@ -107,10 +117,9 @@ def _as_map(value, path: str) -> dict:
 def _real(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _invalid(path, "expected a real number")
-    out = float(value)
-    if not math.isfinite(out):
+    if not abs(value) <= sys.float_info.max:  # NaN, infinite, or an integer beyond a float
         raise _invalid(path, "must be finite")
-    return out
+    return float(value)
 
 
 def _int(value, path: str) -> int:

@@ -6,6 +6,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import hypothesis
 import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
@@ -31,8 +32,14 @@ for module in pkgutil.walk_packages(greenprov.__path__, "greenprov."):
 
 def pytest_configure(config):
     # hypothesis caches the constants it finds in the source under
-    # ./.hypothesis while tests are collected; give it a temporary home
+    # ./.hypothesis while tests are collected; give it a temporary home.
+    # Only its Unicode tables, which take seconds to build and depend on
+    # nothing in the tree, outlive the session: they are kept in the
+    # system's temporary directory, one cache per hypothesis version.
     home = Path(tempfile.mkdtemp(prefix="hypothesis-"))
+    tables = Path(tempfile.gettempdir()) / f"greenprov-hypothesis-{hypothesis.__version__}"
+    tables.mkdir(exist_ok=True)
+    (home / "unicode_data").symlink_to(tables, target_is_directory=True)
     config.stash[_HYPOTHESIS_HOME] = home
     set_hypothesis_home_dir(home)
 

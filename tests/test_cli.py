@@ -238,6 +238,10 @@ TRACES = {
     "empirical": TRACE_CLAMPED_EMPIRICAL.replace(
         "clamp_demand_to_agreed: true", "clamp_demand_to_agreed: false"
     ),
+    # every step violated (demand is at least 5), then none (demand is at
+    # most 80): every row block holds one kind of row
+    "all-violated": TRACE_UNIFORM.replace("kind: balance", "kind: fixed_level, level: 0"),
+    "none-violated": TRACE_UNIFORM.replace("kind: balance", "kind: fixed_level, level: 80"),
 }
 
 
@@ -319,19 +323,19 @@ class TestSimulateCommand:
     # row-block edges, then three replications of one step, one chunk and
     # one step more than a chunk each
     @pytest.mark.parametrize(
-        "text, steps",
+        "name, text, steps",
         [
-            pytest.param(text, steps, id=f"{name}-{steps}")
+            pytest.param(name, text, steps, id=f"{name}-{steps}")
             for name, text in TRACES.items()
             for steps in [_ROW_BLOCK - 1, _ROW_BLOCK, 2 * _ROW_BLOCK + 1]
         ]
         + [
-            pytest.param(three_replications(text), steps, id=f"{name}-3x-{label}")
+            pytest.param(name, three_replications(text), steps, id=f"{name}-3x-{label}")
             for name, text in TRACES.items()
             for steps, label in [(1, "1"), (_CHUNK, "chunk"), (_CHUNK + 1, "chunk+1")]
         ],
     )
-    def test_trace_matches_csv_writer(self, tmp_path, text, steps):
+    def test_trace_matches_csv_writer(self, tmp_path, name, text, steps):
         path = write(tmp_path, text)
         out = tmp_path / "out"
         argv = ["simulate", path, "--output", str(out), "--trace", "--steps", str(steps)]
@@ -340,8 +344,13 @@ class TestSimulateCommand:
         report = run_simulation(
             build_scenario(load_config(path), steps_override=steps), trace=True
         )
-        if steps > 1:  # both kinds of row are written
-            assert 0 < report.violation_count < steps * report.scenario.replications
+        rows = steps * report.scenario.replications
+        if name == "all-violated":
+            assert report.violation_count == rows
+        elif name == "none-violated":
+            assert report.violation_count == 0
+        elif steps > 1:  # both kinds of row are written
+            assert 0 < report.violation_count < rows
         assert (out / "trace.csv").read_bytes() == reference_trace_csv(report)
 
     @pytest.mark.parametrize("name", ["fixed", "clamped"])
@@ -759,6 +768,15 @@ class TestSweepMatchesPerCellLoop:
     )
     def test_block_edges(self, tmp_path, count):
         self.run(tmp_path, 0.0, [f"mean_demand=0:100:{count}"])
+
+    def test_every_cell_failing_alike_over_blocks(self, tmp_path):
+        # every mean exceeds the max of 80: full blocks, and a short last
+        # one, of one kind of error row
+        count = 2 * _ROW_BLOCK + 1
+        text = self.run(tmp_path, 0.0, [f"mean_demand=81:100:{count}"])
+        rows = list(csv.reader(io.StringIO(text)))[1:]
+        assert len(rows) == count
+        assert all(row[-1].startswith("max_demand (80.0) < mean_demand (") for row in rows)
 
     def test_memory_does_not_grow_with_cells(self, tmp_path):
         # 2e5 cells: holding every row would take well over 100 MB

@@ -289,6 +289,8 @@ class TestStrictness:
             ),
             # a control character in the key is escaped, so the message is one line
             ('stats: {"x\\ny": 1, "x\\ny": 2}\n', "stats.x\\ny"),
+            # keys are built while they are checked, dates included
+            ("stats: {2001-01-01: 1, 2001-01-01: 2}\n", "stats.2001-01-01"),
         ],
     )
     def test_duplicate_keys_rejected_with_path(self, tmp_path, capsys, text, path):
@@ -957,5 +959,126 @@ def test_any_file_fails_only_with_a_one_line_error(tmp_path, data):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main([command[0], str(path), *command[1:], "--output", str(directory / "out")])
+        assert code in (0, 1, 2)
+        assert len(err.getvalue().splitlines()) <= 1 and "Traceback" not in err.getvalue()
+
+
+# -- YAML 1.1 scalars ---------------------------------------------------------
+
+# Scalars PyYAML resolves (or is told by a tag) to build as a type but cannot
+# build, and an integer beyond the float range; each once gave a traceback.
+# Each maps to its tag and the error PyYAML raises building it (None for the
+# integer); the test puts it at stats.mean_demand.
+UNBUILDABLE = {
+    "2001-02-29": "timestamp: ValueError(",
+    "0x_": "int: ValueError(",
+    '!!float ""': "float: IndexError(",
+    '!!int "_"': "int: IndexError(",
+    '!!bool ""': "bool: KeyError(",
+    '!!timestamp "x"': "timestamp: AttributeError(",
+    "1" * 401: None,
+}
+SCALAR = "SCALAR_UNDER_TEST"
+SCALAR_HOST = complete(stats={"r_agreed": 100, "mean_demand": SCALAR, "max_demand": 80})
+
+
+@pytest.mark.parametrize("command", RAW_COMMANDS, ids=[c[0] for c in RAW_COMMANDS])
+@pytest.mark.parametrize("text, problem", UNBUILDABLE.items(),
+                         ids=["date", "hex", "float", "int", "bool", "timestamp", "digits"])
+def test_unbuildable_scalar_is_one_config_error(tmp_path, capsys, command, text, problem):
+    config = yaml.safe_dump(SCALAR_HOST, sort_keys=False).replace(SCALAR, text)
+    path = write_config(tmp_path, config)
+    assert main([command[0], path, *command[1:], "--output", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    if problem is None:  # an integer beyond the float range
+        assert err == "config error: invalid value at stats.mean_demand: must be finite\n"
+    else:  # at the scalar's line and column
+        assert err.startswith("config error: invalid value at config: not parseable "
+                              f"(cannot construct tag:yaml.org,2002:{problem}")
+        assert err.endswith(f'in "{path}", line 7, column 16)\n')
+
+
+def leaf_paths(value, path=()):
+    """The key path of every scalar in a document."""
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, item in items:
+            yield from leaf_paths(item, (*path, key))
+    else:
+        yield path
+
+
+SCALAR_PATHS = list(leaf_paths(complete()))
+# YAML 1.1 scalars as PyYAML's Resolver reads them (https://yaml.org/type/),
+# valid and broken: ints in bases 2, 8, 10, 16 and 60 with underscores,
+# floats, bools, nulls and timestamps
+IMPLICIT = st.one_of(
+    st.from_regex(r"[-+]?0b[01_]*", fullmatch=True),
+    st.from_regex(r"[-+]?0[0-7_]*", fullmatch=True),
+    st.from_regex(r"[-+]?(0|[1-9][0-9_]*)", fullmatch=True),
+    st.from_regex(r"[-+]?0x[0-9a-fA-F_]*", fullmatch=True),
+    st.from_regex(r"[-+]?[1-9][0-9_]*(:[0-5]?[0-9])+(\.[0-9_]*)?", fullmatch=True),
+    st.from_regex(r"[-+]?([0-9][0-9_]*)?\.[0-9_]*([eE][-+][0-9]+)?", fullmatch=True),
+    st.sampled_from(["~", "null", "NULL", "", ".inf", "-.Inf", "+.INF", ".nan", ".NaN",
+                     "yes", "No", "TRUE", "false", "on", "OFF", "y", "n"]),
+    st.from_regex(r"[0-9]{4}-[0-9]{1,2}-[0-9]{1,2}", fullmatch=True),
+    st.from_regex(r"[0-9]{4}-[0-9]{1,2}-[0-9]{1,2}([Tt]|[ \t]+)[0-9]{1,2}:[0-9]{2}:[0-9]{2}"
+                  r"(\.[0-9]*)?([ \t]*(Z|[-+][0-9]{1,2}(:[0-9]{2})?))?", fullmatch=True),
+)
+TAGS = ["!!int", "!!float", "!!bool", "!!null", "!!timestamp", "!!binary", "!!set", "!!omap",
+        "!!pairs"]
+# The explicit tags on any text, written as a double-quoted scalar, and
+# integers of up to 400 digits
+SCALAR_TEXTS = st.one_of(
+    IMPLICIT,
+    st.builds(lambda tag, text: f"{tag} {json.dumps(text)}", st.sampled_from(TAGS),
+              IMPLICIT | st.text(max_size=8)),
+    st.integers(-(10**400) + 1, 10**400 - 1).map(str),
+)
+
+
+def with_scalar(path, text, as_key):
+    """complete() as YAML with ``text`` as the value at ``path``, or as the
+    key there in place of the last key of ``path``."""
+    document = complete()
+    *parents, last = path
+    parent = document
+    for key in parents:
+        parent = parent[key]
+    if as_key and isinstance(last, str):
+        replaced = {SCALAR if key == last else key: value for key, value in parent.items()}
+        parent.clear()
+        parent.update(replaced)
+    else:
+        parent[last] = SCALAR
+    return yaml.safe_dump(document, sort_keys=False).replace(SCALAR, text)
+
+
+# Each example writes into a new directory under tmp_path, as above; the
+# pinned examples once gave a traceback.
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(SCALAR_PATHS), SCALAR_TEXTS, st.booleans())
+@example(path=("stats", "r_agreed"), text="2001-02-29", as_key=False)
+@example(path=("stats", "r_agreed"), text="2001-02-29", as_key=True)
+@example(path=("stats", "r_agreed"), text="0x_", as_key=False)
+@example(path=("rates", "c_en"), text='!!float ""', as_key=False)
+@example(path=("simulation", "steps"), text='!!int "_"', as_key=False)
+@example(path=("market", "accounts", 0, "name"), text='!!bool ""', as_key=False)
+@example(path=("demand", "upper"), text='!!timestamp "x"', as_key=False)
+@example(path=("stats", "r_agreed"), text="1" * 401, as_key=False)
+@example(path=("demand", "kind"), text='!!set "~"', as_key=True)
+def test_any_yaml_scalar_anywhere_fails_only_with_a_one_line_error(tmp_path, path, text,
+                                                                   as_key):
+    directory = Path(tempfile.mkdtemp(dir=tmp_path))
+    config = directory / "scenario.yaml"
+    config.write_text(with_scalar(path, text, as_key), encoding="utf-8")
+    for command in RAW_COMMANDS:
+        if command[0] == "simulate" and path[-1] == "replications":
+            continue  # a long simulation is no error
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command[0], str(config), *command[1:],
+                         "--output", str(directory / "out")])
         assert code in (0, 1, 2)
         assert len(err.getvalue().splitlines()) <= 1 and "Traceback" not in err.getvalue()
