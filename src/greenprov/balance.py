@@ -165,18 +165,12 @@ def _check(checks, values):
 
 def _first_failure(checks, values, offset):
     """Per cell, the FAILURES index of the first of ``checks`` it fails
-    (``checks`` starts at FAILURES[offset]) or -1, and whether any fails.
-
-    The solvers test the mask rather than compare the indices: numpy's
-    integer comparison loops run nowhere else in a simulation, and running
-    them maps about 0.1 MB more of numpy's code into the process.
-    """
-    failure, failed = -1, np.False_
+    (``checks`` starts at FAILURES[offset]), or -1; on one cell's values,
+    a Python int."""
+    failure = -1
     for i in reversed(range(len(checks))):
-        fails = checks[i].fails(values)
-        failure = _where(fails, offset + i, failure)
-        failed = failed | fails
-    return failure, failed
+        failure = _where(checks[i].fails(values), offset + i, failure)
+    return failure
 
 
 # The solver arithmetic below runs elementwise on float64 arrays or
@@ -220,10 +214,10 @@ def _columns(r, mean, peak, agreed, c_prov, c_viol):
     return r, w, w * c_prov, p, p * c_viol
 
 
-def _gap(r, mean, peak, agreed, c_prov, c_viol, surcharge):
-    """Wastage cost minus expected penalty minus surcharge at level ``r``."""
-    wastage = (r - mean) / agreed * c_prov
-    return wastage - _violation_probability(r, peak) * c_viol - surcharge
+def _gap(columns, surcharge):
+    """Wastage cost minus expected penalty minus surcharge, from a level's _columns."""
+    _, _, wastage, _, penalty = columns
+    return wastage - penalty - surcharge
 
 
 def _closed_form(mean, peak, agreed, c_prov, c_viol, surcharge, total):
@@ -238,11 +232,6 @@ def _closed_form(mean, peak, agreed, c_prov, c_viol, surcharge, total):
     r = _where(peak < r, peak, r)
     free_violations = (c_viol == 0.0) & (surcharge == 0.0)
     return _where(free_violations, mean, _where(c_prov == 0.0, peak, r))
-
-
-def _tolerance(c_prov, c_viol, surcharge):
-    """Largest cost gap a solved level may leave."""
-    return 1e-9 * (c_prov + c_viol + surcharge)
 
 
 def _bisect(gap, lo, hi, gap_lo, gap_hi):
@@ -266,34 +255,37 @@ def _bisect(gap, lo, hi, gap_lo, gap_hi):
 
 
 @np.errstate(all="ignore")
-def _solve(values, failure, failed, bisect=False):
-    """Balance the cells of ``values`` that have not ``failed`` yet: by the
+def _solve(values, failure, bisect=False):
+    """Balance the cells of ``values`` whose ``failure`` is still -1: by the
     closed form, or by bisection on one cell's float64 values.
 
     ``values`` maps the DemandStats and CostRates fields to float64 arrays
     or scalars; the solver values the checks read are added to it.  Returns
-    ``failure`` and ``failed`` as _first_failure does for every check, and
-    the BalanceResult columns, which mean nothing where failed.
+    ``failure`` as _first_failure does for every check, and the
+    BalanceResult columns, which mean nothing where ``failure >= 0``.
     """
     mean, peak, agreed, c_en, c_co2, c_viol, surcharge = (
         values[name] for name in _STATS_FIELDS + _RATES_FIELDS
     )
     c_prov = c_en + c_co2
-    cell = (mean, peak, agreed, c_prov, c_viol, surcharge)
+    cell = (mean, peak, agreed, c_prov, c_viol)
+
+    def gap(r):
+        return _gap(_columns(r, *cell), surcharge)
+
     total = peak * c_prov + agreed * c_viol
-    gap_lo, gap_hi = _gap(mean, *cell), _gap(peak, *cell)
+    gap_lo, gap_hi = gap(mean), gap(peak)
     if bisect:
-        r = _bisect(lambda r: _gap(r, *cell), mean, peak, gap_lo, gap_hi)
+        r = _bisect(gap, mean, peak, gap_lo, gap_hi)
     else:
-        r = _closed_form(*cell, total)
+        r = _closed_form(*cell, surcharge, total)
+    columns = _columns(r, *cell)
+    # the tolerance is the largest gap a solved level may leave
     values.update(c_provision=c_prov, total=total, gap_lo=gap_lo, gap_hi=gap_hi,
-                  residual=_gap(r, *cell), tolerance=_tolerance(c_prov, c_viol, surcharge))
-    solver, solver_failed = _first_failure(
-        _SOLVER_CHECKS, values, len(FAILURES) - len(_SOLVER_CHECKS)
-    )
-    failure = np.where(failed, failure, solver)
-    failed = failed | solver_failed
-    return failure, failed, _columns(r, mean, peak, agreed, c_prov, c_viol)
+                  residual=_gap(columns, surcharge),
+                  tolerance=1e-9 * (c_prov + c_viol + surcharge))
+    solver = _first_failure(_SOLVER_CHECKS, values, len(FAILURES) - len(_SOLVER_CHECKS))
+    return _where(failure >= 0, failure, solver), columns
 
 
 def _solve_cell(stats: DemandStats, rates: CostRates, bisect: bool) -> BalanceResult:
@@ -301,8 +293,8 @@ def _solve_cell(stats: DemandStats, rates: CostRates, bisect: bool) -> BalanceRe
     inputs = {**vars(stats), **vars(rates)}
     # float64 scalars divide by zero and overflow as the array columns do
     values = {name: np.float64(x) for name, x in inputs.items()}
-    failure, failed, columns = _solve(values, -1, np.False_, bisect)
-    if failed:
+    failure, columns = _solve(values, -1, bisect)
+    if failure >= 0:
         # the fields as given, so the message prints them as the checks do
         raise FAILURES[failure].exception({name: float(x) for name, x in values.items()} | inputs)
     return BalanceResult(*map(float, columns))
@@ -365,9 +357,9 @@ def balance_grid(mean_demand, max_demand, r_agreed, c_en, c_co2, c_viol, satisfa
     inputs = (mean_demand, max_demand, r_agreed, c_en, c_co2, c_viol, satisfaction)
     arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in inputs))
     values = dict(zip(_STATS_FIELDS + _RATES_FIELDS, arrays))
-    failure, failed = _first_failure(_STATS_CHECKS + _RATES_CHECKS, values, 0)
-    failure, failed, columns = _solve(values, failure, failed)
-    return failure, tuple(np.where(failed, np.nan, c) for c in columns), values
+    failure, columns = _solve(values, _first_failure(_STATS_CHECKS + _RATES_CHECKS, values, 0))
+    # np.asarray: the one-cell failure of 0-d inputs is a Python int
+    return np.asarray(failure), tuple(np.where(failure < 0, c, np.nan) for c in columns), values
 
 
 def heuristic_band(

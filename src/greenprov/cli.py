@@ -69,18 +69,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _u64(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise ValueError("seed must be an unsigned 64-bit integer")
-    return value
+def _int_in(low, high, rule: str):
+    """An argparse type: an integer in [low, high), else a usage error
+    that states ``rule``."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or not low <= value < high:
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError("must be >= 1")
-    return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,10 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
     add("balance", "solve the wastage-penalty balance").set_defaults(func=cmd_balance)
 
     sim = add("simulate", "run the Monte Carlo scenario")
-    sim.add_argument("--seed", type=_u64, default=None, help="override the config seed")
-    sim.add_argument(
-        "--steps", type=_positive_int, default=None, help="override the step count"
-    )
+    sim.add_argument("--seed", type=_int_in(0, 2**64, "an unsigned 64-bit integer"),
+                     default=None, help="override the config seed")
+    sim.add_argument("--steps", type=_int_in(1, math.inf, "an integer >= 1"),
+                     default=None, help="override the step count")
     sim.add_argument(
         "--trace", action="store_true", help="also write the per-step table trace.csv"
     )

@@ -111,7 +111,7 @@ class DemandProfile:
         if self.kind == TRUNCATED_NORMAL:
             return self._tn_moments()[0]
         if self.kind == LOGNORMAL:
-            m1 = self._lognorm_moment(1)
+            m1 = self._lognorm_mean()
             return m1 if self.upper is None else min(m1, self.upper)
         return _mean(self._observed)
 
@@ -249,22 +249,22 @@ class DemandProfile:
             return math.inf
         return (math.log(self.upper) - self.mu_log) / self.sigma_log
 
-    def _lognorm_moment(self, k: int) -> float:
-        """k-th raw moment (upper truncation folded in).
+    def _lognorm_mean(self) -> float:
+        """Mean, upper truncation folded in.
 
         Raises InvalidDistribution when it is not a finite float.
         """
         m, s = self.mu_log, self.sigma_log
         beta = self._beta()
-        # E[D^k] = exp(k m + k^2 s^2 / 2) Phi(beta - k s) / Phi(beta)
-        log_moment = k * m + 0.5 * k * k * s * s
+        # E[D] = exp(m + s^2 / 2) Phi(beta - s) / Phi(beta)
+        log_mean = m + 0.5 * s * s
         if self.upper is not None:
-            log_moment += _log_ndtr_ratio(beta - k * s, beta, k * s)
+            log_mean += _log_ndtr_ratio(beta - s, beta, s)
         try:
-            return math.exp(log_moment)
+            return math.exp(log_mean)
         except OverflowError:
             raise InvalidDistribution(
-                f"lognormal moment {k} overflows (mu_log={m}, sigma_log={s})"
+                f"lognormal moment 1 overflows (mu_log={m}, sigma_log={s})"
             ) from None
 
     def _lognorm_variance(self) -> float:
@@ -290,7 +290,7 @@ class DemandProfile:
                 if self.upper is not None:
                     excess += _log_ndtr_ratio(beta - 2 * s, beta - s, s)
                     excess -= _log_ndtr_ratio(beta - s, beta, s)
-                sd = self._lognorm_moment(1) * math.sqrt(math.expm1(excess))
+                sd = self._lognorm_mean() * math.sqrt(math.expm1(excess))
         except OverflowError:
             sd = math.inf
         var = sd * sd

@@ -12,6 +12,7 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 import greenprov
+from greenprov import cli, simulate
 
 _HYPOTHESIS_HOME = pytest.StashKey[Path]()
 
@@ -53,3 +54,13 @@ def _run_in_tmp_path(tmp_path, monkeypatch):
     # CLI commands without --output write into the working directory;
     # keep those files out of the source tree.
     monkeypatch.chdir(tmp_path)
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    # A run's demand is drawn simulate._CHUNK steps at a time and its tables
+    # are written cli._ROW_BLOCK rows at a time; both are read at call time.
+    # Small sizes (the chunk still a multiple of the block) let a test cross
+    # the chunk boundaries in a few hundred rows.
+    monkeypatch.setattr(simulate, "_CHUNK", 64)
+    monkeypatch.setattr(cli, "_ROW_BLOCK", 16)

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from greenprov import DemandStats, CostRates, balance_closed_form, cli
+from greenprov import DemandStats, CostRates, balance_closed_form, cli, simulate
 from greenprov.cli import _ROW_BLOCK, SWEEP_PARAMS, _csv_field, _fmt, _json_record, main
 from greenprov.config import build_scenario, load_config, scenario_from_dict
 from greenprov.demand import FAMILIES, DemandProfile
@@ -245,6 +245,10 @@ TRACES = {
 }
 
 
+# the chunk-sized trace cases run at the real _CHUNK and _ROW_BLOCK
+REAL_CHUNK_TRACES = {"uniform-3x-chunk+1", "empirical-3x-chunk+1"}
+
+
 def three_replications(text: str) -> str:
     return re.sub(r"replications: \d+", "replications: 3", text)
 
@@ -321,21 +325,28 @@ class TestSimulateCommand:
         assert violations == report["aggregate"]["violation_count"]
 
     # row-block edges, then three replications of one step, one chunk and
-    # one step more than a chunk each
+    # one step more than a chunk each: ``chunks`` chunks and ``steps`` steps.
+    # The chunk-sized runs take the small_chunks sizes, but for two at the
+    # real ones.
     @pytest.mark.parametrize(
-        "name, text, steps",
+        "name, text, chunks, steps, small",
         [
-            pytest.param(name, text, steps, id=f"{name}-{steps}")
+            pytest.param(name, text, 0, steps, False, id=f"{name}-{steps}")
             for name, text in TRACES.items()
             for steps in [_ROW_BLOCK - 1, _ROW_BLOCK, 2 * _ROW_BLOCK + 1]
         ]
         + [
-            pytest.param(name, three_replications(text), steps, id=f"{name}-3x-{label}")
+            pytest.param(name, three_replications(text), chunks, steps,
+                         chunks == 1 and f"{name}-3x-{label}" not in REAL_CHUNK_TRACES,
+                         id=f"{name}-3x-{label}")
             for name, text in TRACES.items()
-            for steps, label in [(1, "1"), (_CHUNK, "chunk"), (_CHUNK + 1, "chunk+1")]
+            for chunks, steps, label in [(0, 1, "1"), (1, 0, "chunk"), (1, 1, "chunk+1")]
         ],
     )
-    def test_trace_matches_csv_writer(self, tmp_path, name, text, steps):
+    def test_trace_matches_csv_writer(self, request, tmp_path, name, text, chunks, steps, small):
+        if small:
+            request.getfixturevalue("small_chunks")
+        steps += chunks * simulate._CHUNK
         path = write(tmp_path, text)
         out = tmp_path / "out"
         argv = ["simulate", path, "--output", str(out), "--trace", "--steps", str(steps)]
@@ -1013,6 +1024,17 @@ class TestUsage:
     def test_bad_seed_flag(self, config):
         assert main(["simulate", config, "--seed", "-3"]) == 1
         assert main(["simulate", config, "--seed", str(2**64)]) == 1
+
+    @pytest.mark.parametrize("flag, value, rule", [
+        ("--steps", "0", "an integer >= 1"),
+        ("--seed", "-1", "an unsigned 64-bit integer"),
+        ("--seed", "x", "an unsigned 64-bit integer"),
+    ])
+    def test_bad_flag_value_states_the_rule(self, config, capsys, flag, value, rule):
+        assert main(["simulate", config, flag, value]) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: argument {flag}: must be {rule}, got '{value}'\n"
+        )
 
 
 class TestSchemas:

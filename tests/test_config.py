@@ -257,6 +257,16 @@ class TestStrictness:
             "column 1)\n"
         )
 
+    def test_non_scalar_key(self, tmp_path, capsys):
+        # the duplicate-key check passes it over; the constructor rejects it
+        path = write_config(tmp_path, "stats: {? [1, 2] : 3, r_agreed: 100}\n")
+        assert main(["balance", path, "--output", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "config error: invalid value at config: not parseable (while constructing a "
+            f'mapping in "{path}", line 1, column 8 found unhashable key in "{path}", '
+            "line 1, column 11)\n"
+        )
+
     def test_empty_document(self, tmp_path):
         path = write_config(tmp_path, "\n")
         with pytest.raises(ConfigError):

@@ -96,6 +96,24 @@ class TestMakeProfile:
             assert profile.tail_probability(2.0) == 1.0
             assert profile.mean() == math.e
 
+    @pytest.mark.parametrize(
+        "kind, params, message",
+        [
+            ("uniform", [1], "uniform takes (lower, upper)"),
+            ("uniform", [0, math.inf], "uniform bounds must be finite"),
+            ("truncated_normal", [1, 2], "truncated_normal takes (mu, sigma, [lower,] upper)"),
+            ("truncated_normal", [1, 2, math.nan, 5],
+             "truncated_normal parameters must be finite"),
+            ("lognormal", [1], "lognormal takes (mu_log, sigma_log[, upper])"),
+            ("lognormal", [1, math.inf], "lognormal parameters must be finite"),
+            ("empirical", [1, math.nan], "empirical values must be finite"),
+        ],
+    )
+    def test_arity_and_non_finite_parameters_rejected(self, kind, params, message):
+        with pytest.raises(InvalidDistribution) as err:
+            make_profile(kind, params)
+        assert str(err.value) == message
+
     def test_lognormal_truncation_must_be_positive(self):
         with pytest.raises(InvalidDistribution):
             make_profile("lognormal", [0, 0.5, 0])
@@ -186,6 +204,9 @@ class TestMoments:
         assert np.isinf(profile.sample_many(np.random.default_rng(1), 100)).any()
         with pytest.raises(InvalidDistribution, match="moment 2 overflows"):
             make_profile("lognormal", [709, 0.09, 1e308]).variance()
+        # a finite mean, but expm1(sigma_log**2) overflows
+        with pytest.raises(InvalidDistribution, match="moment 2 overflows"):
+            make_profile("lognormal", [0, 27]).variance()
         # the sum of squares of an empirical variance overflows
         assert make_profile("empirical", [0.0, 2.68e154]).variance() == math.inf
         # an empirical mean is taken again over scaled data when its sum overflows
@@ -251,6 +272,10 @@ class TestTailProbability:
         profile = make_profile(kind, params)
         assert profile.tail_probability(profile.true_upper_bound()) == 0.0
         assert profile.tail_probability(profile.true_upper_bound() + 1) == 0.0
+
+    def test_clamped_mean_below_the_support_is_the_level(self):
+        # P(D > r) = 1: every demand is clamped to r
+        assert make_profile("uniform", [10, 80]).clamped_mean(5.0) == 5.0
 
     def test_empirical_fraction(self):
         profile = make_profile("empirical", [10, 20, 30, 40])

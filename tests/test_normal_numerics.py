@@ -69,6 +69,10 @@ def test_log_ndtr_matches_mpmath(x):
         assert relative(_log_ndtr(x), want) <= 8 * EPS * max(1.0, x * x)
 
 
+def test_log_ndtr_at_minus_infinity():
+    assert _log_ndtr(-math.inf) == -math.inf
+
+
 @PROPERTY
 @given(st.floats(-1e5, 0.0))
 def test_ndtri_exp_inverts_log_ndtr(z):

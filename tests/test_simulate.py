@@ -395,6 +395,12 @@ class TestEmpiricalOptimum:
         assert found.r_star == r_balance
         assert found.balance_gap == 0.0
 
+    def test_no_balance_leaves_the_gap_out(self, scenario):
+        # with all three prices 0 no balance exists; the search still runs
+        free = replace(scenario, rates=CostRates(0.0, 0.0, 0.0), policy=Policy.fixed_level(30.0))
+        found = empirical_optimum(free, [30.0, 60.0])
+        assert (found.r_star, found.costs, found.balance_gap) == (30.0, (0.0, 0.0), None)
+
     def test_zero_grid_forces_every_violation(self, rates):
         profile = make_profile("uniform", [10, 80])  # demand strictly positive
         stats = DemandStats(45.0, 80.0, 100.0)
