@@ -58,6 +58,7 @@ _SQRT_HALF = math.sqrt(0.5)
 _NODES = 64  # Gauss-Legendre nodes per side of a truncated-normal window
 _LOG_MIN = math.log(5e-324)  # log of the smallest positive float
 _NARROW = 2.2250738585072014e-308  # narrowest window, in sigmas: the smallest normal float
+_BLOCK = 1 << 13  # draws transformed in place this many at a time
 _FAR = 1e154  # farthest window end, in sigmas, whose square is a float
 
 
@@ -202,8 +203,16 @@ class DemandProfile:
 
     def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Vector of ``n`` draws; consumes ``n`` uniforms, one per draw, so
-        draws split into chunks on one generator equal a single draw of all."""
-        return self._transform(rng.random(n))
+        draws split into chunks on one generator equal a single draw of all.
+
+        The uniforms are turned into draws in place, _BLOCK at a time, so
+        the inverse CDF's temporaries stay block-sized; every transform is
+        elementwise, so the draws do not depend on the block size.
+        """
+        u = rng.random(n)
+        for s in range(0, n, _BLOCK):
+            u[s:s + _BLOCK] = self._transform(u[s:s + _BLOCK])
+        return u
 
     def observation_index(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Index into ``values`` of the empirical draw at each uniform u in [0, 1).
@@ -468,6 +477,8 @@ def _log_mass_ratio(m1: tuple[float, float], m2: tuple[float, float]) -> float:
 
 def _rational(coefficients, r: np.ndarray) -> np.ndarray:
     """numerator(r) / denominator(r) by Horner's rule, in place."""
+    if not len(r):  # no draw in this fit's range: skip its 31 numpy calls
+        return r
     num, den = coefficients
     p, q = np.full_like(r, num[-1]), np.full_like(r, den[-1])
     for a, b in zip(num[-2::-1], den[-2::-1]):
@@ -495,8 +506,10 @@ def _ndtri_exp(y: np.ndarray) -> np.ndarray:
     q = 0.5 * np.expm1((y[mid] + _LN2_HI) + _LN2_LO)
     z[mid] = q * _rational(_AS241_CENTRAL, 0.180625 - q * q)
     r = np.sqrt(-y[tail])
-    near = _rational(_AS241_NEAR, r - 1.6)
-    z[tail] = -np.where(r <= 5.0, near, _rational(_AS241_FAR, r - 5.0))
+    near = r <= 5.0  # each fit on its own draws, not both on all
+    r[near] = _rational(_AS241_NEAR, r[near] - 1.6)
+    r[~near] = _rational(_AS241_FAR, r[~near] - 5.0)
+    z[tail] = -r
     if not far.any():
         return z
     v = -y[far]

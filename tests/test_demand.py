@@ -7,6 +7,7 @@ CLT/binomial bounds computed inline.
 """
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -21,6 +22,7 @@ from greenprov import (
 )
 from greenprov.cli import main
 from greenprov.demand import (
+    _BLOCK,
     DEFAULT_QUANTILE,
     MEAN_PLUS_VARIANCE,
     QUANTILE,
@@ -368,6 +370,40 @@ class TestSampling:
         profile = make_profile("empirical", [10, 20, 20, 40])
         draws = profile.sample_many(np.random.default_rng(5), 1000)
         assert set(np.unique(draws)) <= {10.0, 20.0, 40.0}
+
+    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+    @pytest.mark.parametrize(
+        "kind,params",
+        [
+            ("uniform", [0, 80]),
+            ("truncated_normal", [40, 15, 0, 80]),
+            ("truncated_normal", [0, 1, 38, 39]),  # past AS241's range
+            ("lognormal", [3.0, 0.5, 60.0]),
+            ("empirical", [10, 20, 20, 35, 80]),
+        ],
+        ids=["uniform", "tn-centred", "tn-far", "lognormal-upper", "empirical"],
+    )
+    def test_blocked_draws_equal_one_transform(self, kind, params, n):
+        # sample_many transforms its uniforms _BLOCK at a time, in place
+        profile = make_profile(kind, params)
+        blocked = profile.sample_many(np.random.default_rng(n), n)
+        whole = profile._transform(np.random.default_rng(n).random(n))
+        assert blocked.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize(
+        "kind,params", [("truncated_normal", [40, 15, 0, 80]), ("lognormal", [3.0, 0.5, 60.0])]
+    )
+    def test_sampling_holds_the_draws_and_a_few_blocks(self, kind, params):
+        profile = make_profile(kind, params)
+        rng = np.random.default_rng(1)
+        tracemalloc.start()
+        try:
+            draws = profile.sample_many(rng, 2**16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the 0.5 MB of draws plus 0.5 MB; the whole-array inverse CDF took 2.8 MB
+        assert peak < draws.nbytes + 2**19
 
     @pytest.mark.parametrize(
         "kind,params",

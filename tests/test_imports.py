@@ -6,8 +6,15 @@ sampling the truncated-normal and lognormal families, and the CLI's
 ``scipy*`` module in sys.modules.  A sweep with error rows leaves no
 ``numpy.ma*`` module either: numpy loads it lazily (``np.unique`` does),
 and it costs about 1.4 MB of resident memory.
+numpy 2 loads ``numpy.random`` lazily too, and with it ``secrets``,
+``hashlib`` and ``_hashlib`` (OpenSSL's libcrypto): about 6.1 MB of
+resident memory and 8.5 ms.  Only a workflow that draws demand needs it, so
+importing greenprov and the CLI's ``balance``, ``sweep`` and ``etm`` leave
+none of them loaded, while building a ``Scenario`` loads ``numpy.random``,
+before any run.
 Each check runs in its own interpreter, since this one may have scipy
-loaded by another test dependency.
+loaded by another test dependency; one interpreter checks every package
+its workflow must not load.
 """
 
 import json
@@ -29,9 +36,13 @@ print(json.dumps(sorted(sys.modules)))
 """
 
 
-def modules_loaded(code: str, package: str) -> list[str]:
-    """Modules of package (a dotted name) loaded after running code in a
-    fresh interpreter."""
+# numpy.random and the modules numpy 2 loads with it
+RANDOM = ("numpy.random", "secrets", "_hashlib")
+
+
+def modules_loaded(code: str, packages: tuple[str, ...]) -> list[str]:
+    """Modules of the packages (dotted names) loaded after running code in
+    a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     done = subprocess.run(
@@ -40,12 +51,7 @@ def modules_loaded(code: str, package: str) -> list[str]:
     )
     assert done.returncode == 0, done.stderr
     loaded = json.loads(done.stdout.splitlines()[-1])
-    return [m for m in loaded if m == package or m.startswith(package + ".")]
-
-
-def scipy_modules(code: str) -> list[str]:
-    """scipy modules loaded after running code in a fresh interpreter."""
-    return modules_loaded(code, "scipy")
+    return [m for m in loaded if any(m == p or m.startswith(p + ".") for p in packages)]
 
 
 def write(tmp_path, text: str) -> str:
@@ -57,31 +63,43 @@ def write(tmp_path, text: str) -> str:
 RATES = "rates: {c_en: 1.5, c_co2: 0.5, c_viol: 1.0}\n"
 
 
+MARKET = """
+market:
+  price_per_kg: 0.01
+  accounts:
+    - {name: dc-east, cap_kg: 100000, emissions_kg: 120000}
+"""
+
+
 def test_import_loads_no_scipy():
-    assert scipy_modules("import greenprov") == []
+    # nor numpy.random: only a Scenario loads it
+    assert modules_loaded("import greenprov", ("scipy", *RANDOM)) == []
 
 
 @pytest.mark.parametrize(
-    "config,argv",
+    "config,commands",
     [
-        ("stats: {mean_demand: 40, max_demand: 80, r_agreed: 100}\n" + RATES, ["balance"]),
+        ("stats: {mean_demand: 40, max_demand: 80, r_agreed: 100}\n" + RATES + MARKET,
+         [["balance"], ["etm"]]),
         ("demand: {kind: uniform, lower: 0, upper: 80}\nstats: {r_agreed: 100}\n" + RATES,
-         ["balance"]),
+         [["balance"]]),
         ("stats: {mean_demand: 40, max_demand: 80, r_agreed: 100}\n" + RATES,
-         ["sweep", "--param", "c_viol=0:2:3"]),
+         [["sweep", "--param", "c_viol=0:2:3"]]),
     ],
     ids=["balance-explicit", "balance-uniform", "sweep-explicit"],
 )
-def test_cli_without_parametric_demand_loads_no_scipy(tmp_path, config, argv):
+def test_cli_without_parametric_demand_loads_no_scipy(tmp_path, config, commands):
+    # nor numpy.random: none of these workflows draws demand
     path = write(tmp_path, config)
-    args = [argv[0], path, "--output", str(tmp_path / "out"), *argv[1:]]
+    runs = [[name, path, "--output", str(tmp_path / "out"), *rest] for name, *rest in commands]
     code = f"""
         import contextlib, io
         from greenprov.cli import main
         with contextlib.redirect_stdout(io.StringIO()):
-            assert main({args!r}) == 0
+            for args in {runs!r}:
+                assert main(args) == 0
     """
-    assert scipy_modules(code) == []
+    assert modules_loaded(code, ("scipy", *RANDOM)) == []
 
 
 @pytest.mark.parametrize(
@@ -89,14 +107,14 @@ def test_cli_without_parametric_demand_loads_no_scipy(tmp_path, config, argv):
     [("truncated_normal", [40, 15, 0, 80]), ("lognormal", [3.0, 0.5, 60.0])],
 )
 def test_parametric_profiles_load_no_scipy(kind, params):
-    loaded = scipy_modules(f"""
+    loaded = modules_loaded(f"""
         import numpy as np
         from greenprov import make_profile
         profile = make_profile({kind!r}, {params!r})
         profile.sample_many(np.random.default_rng(1), 1000)
         profile.mean(), profile.variance(), profile.quantile(0.99)
         profile.tail_probability(30.0)
-    """)
+    """, ("scipy",))
     assert loaded == []
 
 
@@ -109,12 +127,17 @@ def test_simulate_trace_loads_no_scipy(tmp_path):
         " carbon_intensity: 0.5}\n",
     )
     args = ["simulate", path, "--output", str(tmp_path / "out"), "--trace"]
-    loaded = scipy_modules(f"""
-        import contextlib, io
+    # the Scenario loads numpy.random as it is built, before any run
+    loaded = modules_loaded(f"""
+        import contextlib, io, sys
         from greenprov.cli import main
+        from greenprov.config import build_scenario, load_config
+        assert "numpy.random" not in sys.modules
+        build_scenario(load_config({path!r}))
+        assert "numpy.random" in sys.modules
         with contextlib.redirect_stdout(io.StringIO()):
             assert main({args!r}) == 0
-    """)
+    """, ("scipy",))
     assert loaded == []
 
 
@@ -135,5 +158,5 @@ def test_sweep_with_error_rows_loads_no_numpy_ma(tmp_path):
             assert main({args!r}) == 0
         text = open({str(tmp_path / "out" / "sweep.csv")!r}).read()
         assert "< mean_demand" in text and "does not cross zero" in text
-    """, "numpy.ma")
+    """, ("numpy.ma", *RANDOM))
     assert loaded == []
