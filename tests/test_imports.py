@@ -61,8 +61,6 @@ def write(tmp_path, text: str) -> str:
 
 
 RATES = "rates: {c_en: 1.5, c_co2: 0.5, c_viol: 1.0}\n"
-
-
 MARKET = """
 market:
   price_per_kg: 0.01
