@@ -521,35 +521,34 @@ def _ndtri_exp(y: np.ndarray) -> np.ndarray:
     return z
 
 
-def _lower_ppf(a: float, mass: tuple[float, float], v: np.ndarray) -> np.ndarray:
-    """ndtri(Phi(a) + v * mass), with Phi(a) <= Phi(t) (t, r = mass), in log space."""
-    t, r = mass
-    with np.errstate(divide="ignore"):  # v == 0 with Phi(a) == 0 gives -inf
-        return _ndtri_exp(
-            _log_ndtr(t) + np.log(math.exp(_log_ndtr_ratio(a, t, t - a)) + v * math.exp(r))
-        )
-
-
 def _tn_ppf(a: float, b: float, width: float, u: np.ndarray) -> np.ndarray:
-    """Inverse CDF of Z on [a, b], of width b - a, at u in [0, 1].
+    """Inverse CDF of Z on [a, b], of width b - a, at u in [0, 1], in one pass.
 
-    A draw that lands below 0 inverts the lower-tail probability
-    Phi(a) + u * Z_ab; one above 0 inverts the upper-tail probability
-    Phi(-b) + (1 - u) * Z_ab of the mirrored window.  Both are evaluated
-    in log space (Botev 2017 keeps far-tail sampling stable the same way),
-    so neither rounds next to 1 nor underflows deep in a tail.
+    A draw u <= share = P(Z <= 0) (-1 for a window above 0, 1 below it)
+    inverts Phi(a) + u * Z_ab; one above inverts Phi(-b) + (1 - u) * Z_ab
+    of the mirrored window and is negated.  With Z_ab = Phi(t) * exp(r) from
+    :func:`_mass`, the side's end e (a, or -b) and v (u, or 1 - u), z =
+    ndtri_exp(log Phi(t) + log p), p = v * exp(r) + Phi(e) / Phi(t), which
+    needs Phi(e) <= Phi(t); p == 0 with Phi(e) == 0 gives -inf.  Log space
+    (as in Botev 2017) neither rounds next to 1 nor underflows in a tail.
+    Phi(e) / Phi(t) is taken only for a side some draw reaches: the other
+    end's can overflow.
     """
-    mass = _mass(a, b, width)
+    t, r = mass = _mass(a, b, width)
     if a >= 0.0:
-        return -_lower_ppf(-b, mass, 1.0 - u)
-    if b <= 0.0:
-        return _lower_ppf(a, mass, u)
-    low = u <= math.exp(_log_mass_ratio(_mass(a, 0.0, -a), mass))
-    z = np.empty_like(u, dtype=np.float64)
-    z[low] = _lower_ppf(a, mass, u[low])
-    high = ~low
-    z[high] = -_lower_ppf(-b, mass, 1.0 - u[high])
-    return z
+        share = -1.0
+    elif b <= 0.0:
+        share = 1.0
+    else:
+        share = math.exp(_log_mass_ratio(_mass(a, 0.0, -a), mass))
+    high = u > share
+    phi_low, phi_high = (math.exp(_log_ndtr_ratio(e, t, t - e)) if side.any() else 0.0
+                         for e, side in ((a, ~high), (-b, high)))
+    p = np.where(high, 1.0 - u, u) * math.exp(r)
+    p += np.where(high, phi_high, phi_low)
+    with np.errstate(divide="ignore"):
+        z = _ndtri_exp(np.log(p, out=p) + _log_ndtr(t))
+    return np.where(high, -z, z)
 
 
 @lru_cache(maxsize=1)

@@ -12,6 +12,8 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from greenprov import (
     LOGNORMAL,
@@ -20,13 +22,22 @@ from greenprov import (
     UnboundedSupport,
     make_profile,
 )
+from greenprov import demand
 from greenprov.cli import main
 from greenprov.demand import (
     _BLOCK,
+    _FAR,
+    _NARROW,
     DEFAULT_QUANTILE,
     MEAN_PLUS_VARIANCE,
     QUANTILE,
     TRUE_UPPER_BOUND,
+    _log_mass_ratio,
+    _log_ndtr,
+    _log_ndtr_ratio,
+    _mass,
+    _ndtri_exp,
+    _tn_ppf,
 )
 
 
@@ -379,9 +390,12 @@ class TestSampling:
             ("truncated_normal", [40, 15, 0, 80]),
             ("truncated_normal", [0, 1, 38, 39]),  # past AS241's range
             ("lognormal", [3.0, 0.5, 60.0]),
+            ("lognormal", [3.0, 0.5]),
+            ("lognormal", [3.0, 0.5, 15.0]),  # below the median: every draw below 0
             ("empirical", [10, 20, 20, 35, 80]),
         ],
-        ids=["uniform", "tn-centred", "tn-far", "lognormal-upper", "empirical"],
+        ids=["uniform", "tn-centred", "tn-far", "lognormal-upper", "lognormal",
+             "lognormal-below-median", "empirical"],
     )
     def test_blocked_draws_equal_one_transform(self, kind, params, n):
         # sample_many transforms its uniforms _BLOCK at a time, in place
@@ -405,6 +419,20 @@ class TestSampling:
         # the 0.5 MB of draws plus 0.5 MB; the whole-array inverse CDF took 2.8 MB
         assert peak < draws.nbytes + 2**19
 
+    def test_one_inversion_per_block(self, monkeypatch):
+        # the benchmark's window straddles 0, yet each block is one _ndtri_exp call
+        sizes = []
+        ndtri_exp = demand._ndtri_exp
+
+        def counted(y):
+            sizes.append(len(y))
+            return ndtri_exp(y)
+
+        monkeypatch.setattr(demand, "_ndtri_exp", counted)
+        profile = make_profile("truncated_normal", [40, 15, 0, 80])
+        profile.sample_many(np.random.default_rng(3), 3 * _BLOCK + 1)
+        assert sizes == [_BLOCK, _BLOCK, _BLOCK, 1]
+
     @pytest.mark.parametrize(
         "kind,params",
         [
@@ -425,6 +453,77 @@ class TestSampling:
             fraction = np.count_nonzero(draws > r) / n
             bound = 3.0 * math.sqrt(max(p * (1 - p), 1e-12) / n)
             assert abs(fraction - p) <= bound
+
+
+# -- the one-pass inverse CDF against its per-side form ---------------------------
+
+
+def share(a, b, width):
+    """P(Z <= 0) on a window that straddles 0 (the last uniform that lands
+    below 0), None on one that does not."""
+    if a >= 0.0 or b <= 0.0:
+        return None
+    return math.exp(_log_mass_ratio(_mass(a, 0.0, -a), _mass(a, b, width)))
+
+
+def per_side_ppf(a, b, width, u):
+    """The inverse CDF of Z on [a, b] side by side: each side of 0 inverts
+    its own draws with one _ndtri_exp call."""
+    t, r = _mass(a, b, width)
+
+    def lower(end, v):  # ndtri(Phi(end) + v * mass), with Phi(end) <= Phi(t)
+        with np.errstate(divide="ignore"):  # v == 0 with Phi(end) == 0 gives -inf
+            return _ndtri_exp(
+                _log_ndtr(t) + np.log(math.exp(_log_ndtr_ratio(end, t, t - end)) + v * math.exp(r))
+            )
+
+    if a >= 0.0:
+        return -lower(-b, 1.0 - u)
+    if b <= 0.0:
+        return lower(a, u)
+    low = u <= share(a, b, width)
+    z = np.empty_like(u)
+    z[low] = lower(a, u[low])
+    z[~low] = -lower(-b, 1.0 - u[~low])
+    return z
+
+
+# a window's width in sigmas, from point-like up, and the distance of its
+# end nearest 0, out to the farthest a profile takes
+WIDTHS = st.one_of(st.floats(_NARROW, 4 * _NARROW), st.floats(_NARROW, 1e-6), st.floats(1e-6, 60.0))
+NEAR = st.one_of(st.floats(0.0, 8.0), st.floats(8.0, 40.0), st.floats(40.0, _FAR))
+
+
+@st.composite
+def windows(draw):
+    """A standardized window (a, b, width) as _transform passes it: above,
+    below or straddling 0, or a lognormal's (-inf, beta]."""
+    where = draw(st.sampled_from(["above", "below", "straddling", "lognormal"]))
+    if where == "lognormal":
+        beta = draw(st.one_of(st.floats(-38.0, 0.0), st.floats(0.0, 40.0), st.just(math.inf)))
+        return -math.inf, beta, math.inf
+    width = draw(WIDTHS)
+    if where == "straddling":
+        a = -width * draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+        return a, a + width, width
+    near = draw(NEAR)
+    if where == "above":
+        return near, near + width, width
+    return -(near + width), -near, width
+
+
+@settings(max_examples=300)
+@given(windows(), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
+@example(make_profile("truncated_normal", [40, 15, 0, 80])._tn_window(), [0.5])  # the benchmark's
+@example((38.0, 39.0, 1.0), [])  # past AS241's range
+@example((-math.inf, math.inf, math.inf), [])  # an untruncated lognormal
+def test_one_pass_inverse_cdf_equals_the_per_side_one(window, uniforms):
+    u = [0.0, 1.0 - 2.0**-53] + uniforms
+    s = share(*window)
+    if s is not None:  # the last uniform that lands below 0, and the first above
+        u += [x for x in (s, math.nextafter(s, 1.0)) if x < 1.0]
+    u = np.array(u)
+    assert _tn_ppf(*window, u).tobytes() == per_side_ppf(*window, u).tobytes()
 
 
 # -- accuracy against 60-digit references ---------------------------------------
